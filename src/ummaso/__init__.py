@@ -15,7 +15,8 @@ from .dataset import (
     synth_generate,
     write_csv,
 )
-from .pipeline import PipelineArtifacts, PipelineConfig, run, transform_new
+from .config import PipelineConfig
+from .pipeline import PipelineArtifacts, run, transform_new
 from .umap import Embedding, NeighborGraph, UmapConfig, embed
 
 __all__ = [

@@ -24,7 +24,7 @@ from . import lasso as ls
 from . import metrics as mt
 from . import pipeline as pl
 from . import umap as um
-from .config import parse_cli_config, pipeline_config_from_dict
+from .config import IoSettings, parse_cli_config
 from .errors import ConfigError, DataFormatError, NumericalError, StageError
 from .sarn import network as nw
 
@@ -132,7 +132,7 @@ def cmd_generate(args) -> int:
         seed=args.seed if args.seed is not None else 0,
     )
     data = ds.synth_generate(config, feature_names, class_names)
-    ds.write_csv(data, args.out, label_column=args.label_column or "fertility")
+    ds.write_csv(data, args.out, label_column=args.label_column or IoSettings.label_column)
     logger.info("wrote %d rows to %s", data.n_samples, args.out)
     print("per_class_counts=" + ",".join(str(int(c)) for c in data.class_counts()))
     return 0
@@ -141,9 +141,9 @@ def cmd_generate(args) -> int:
 def cmd_fit(args) -> int:
     config_doc = _load_json_file(args.config) if args.config else {}
     config, io = parse_cli_config(config_doc)
-    data_path = args.data or io["data"]
-    out_dir = args.out or io["out"]
-    label_column = args.label_column or io["label_column"]
+    data_path = args.data or io.data
+    out_dir = args.out or io.out
+    label_column = args.label_column or io.label_column
     if data_path is None:
         raise ConfigError("no input data: pass --data or set 'data' in the config")
     if out_dir is None:
@@ -175,7 +175,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    data = ds.load_csv(args.data, label_column=args.label_column or "fertility")
+    data = ds.load_csv(args.data, label_column=args.label_column or IoSettings.label_column)
     predicted = []
     with open(args.predictions, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -210,7 +210,7 @@ def cmd_evaluate(args) -> int:
 def cmd_reduce(args) -> int:
     config_doc = _load_json_file(args.config) if args.config else {}
     config, io = parse_cli_config(config_doc)
-    label_column = args.label_column or io["label_column"]
+    label_column = args.label_column or io.label_column
     master = args.seed if args.seed is not None else config.seed
     umap_cfg = replace(config.umap, seed=master + pl.SEED_UMAP)
     data = ds.load_csv(args.data, label_column=label_column)
@@ -224,7 +224,7 @@ def cmd_reduce(args) -> int:
 def cmd_select(args) -> int:
     config_doc = _load_json_file(args.config) if args.config else {}
     config, io = parse_cli_config(config_doc)
-    label_column = args.label_column or io["label_column"]
+    label_column = args.label_column or io.label_column
     data = ds.load_csv(args.data, label_column=label_column)
     standardized, _ = ds.standardize(data)
     response = standardized.labels.astype(np.float64)
@@ -233,7 +233,7 @@ def cmd_select(args) -> int:
     )
     path = ls.fit_path(standardized.features, response, grid)
     ranking = ls.rank_features(path, standardized.feature_names)
-    selected = ls.select(path, config.lasso.strategy)
+    selected = ls.select(path, config.lasso.selection)
     os.makedirs(args.out, exist_ok=True)
     ls.path_to_csv(path, os.path.join(args.out, "lasso_path.csv"))
     with open(os.path.join(args.out, "ranking.json"), "w", encoding="utf-8") as fh:

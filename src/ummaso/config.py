@@ -1,154 +1,214 @@
-"""Strict JSON configuration parsing for the CLI.
+"""The configuration schema and its strict JSON form.
 
-Unknown keys are rejected (naming the offending key), every omitted key falls
-back to the documented default, and type errors carry the full key path.
+The settings dataclasses here, with `umap.UmapConfig` and
+`lasso.SelectionStrategy`, are the only statement of the schema: a field's
+name is its JSON key, its annotation the accepted type and its default the
+value of an omitted key. `pipeline_config_from_dict` walks them to parse a
+document strictly (unknown keys and type errors name the full key path, range
+errors name their section); `config_to_dict` is its inverse and writes the
+manifest's config echo. A field marked `metadata={"derived": True}` is set
+by the program, not by the document.
 """
 
 from __future__ import annotations
 
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
+
 from .errors import ConfigError
 from .lasso import SelectionStrategy
-from .pipeline import LassoSettings, PipelineConfig, SarnSettings
+from .sarn import network as nw
 from .umap import UmapConfig
 
-
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{path}' must be an integer")
-    return value
+FEATURE_MODES = ("selected_only", "embedding_only", "selected_plus_embedding")
+BALANCE_MODES = ("none", "oversample")
 
 
-def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{path}' must be a number")
-    return float(value)
+@dataclass(frozen=True)
+class LassoSettings:
+    grid_count: int = 100
+    selection: SelectionStrategy = field(default_factory=SelectionStrategy)
 
 
-def _as_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"'{path}' must be a string")
-    return value
+@dataclass(frozen=True)
+class SarnSettings:
+    kernel_size: int = 3
+    channels: int = 8
+    rank: int = 2
+    hidden: int = 16
+    dropout_rate: float = 0.1
+    reg_lambda: float = 1e-4
+    label_smoothing: float = 0.05
+    mask_len: int | None = None
+    epochs: int = 200
+    learning_rate: float = 0.05
+    batch_size: int = 32
+    loss_head: str = nw.DKL_HEAD
+
+    def init_model(self, width: int, n_classes: int, seed: int) -> nw.SarnModel:
+        return nw.init_model(
+            width,
+            n_classes,
+            kernel_size=self.kernel_size,
+            channels=self.channels,
+            rank=self.rank,
+            hidden=self.hidden,
+            dropout_rate=self.dropout_rate,
+            reg_lambda=self.reg_lambda,
+            label_smoothing=self.label_smoothing,
+            mask_len=self.mask_len,
+            seed=seed,
+        )
+
+    def train_config(self, seed: int) -> nw.TrainConfig:
+        return nw.TrainConfig(
+            epochs=self.epochs,
+            learning_rate=self.learning_rate,
+            batch_size=self.batch_size,
+            seed=seed,
+            loss_head=self.loss_head,
+        )
 
 
-def _as_opt_int(value, path: str) -> int | None:
-    if value is None:
-        return None
-    return _as_int(value, path)
+@dataclass(frozen=True)
+class PipelineConfig:
+    seed: int = 0
+    balance: str = "none"
+    train_fraction: float = 0.8
+    feature_mode: str = "selected_plus_embedding"
+    umap: UmapConfig = field(default_factory=UmapConfig)
+    lasso: LassoSettings = field(default_factory=LassoSettings)
+    sarn: SarnSettings = field(default_factory=SarnSettings)
+
+    def __post_init__(self):
+        if self.balance not in BALANCE_MODES:
+            raise ValueError(f"balance must be one of {BALANCE_MODES}")
+        if self.feature_mode not in FEATURE_MODES:
+            raise ValueError(f"feature_mode must be one of {FEATURE_MODES}")
+
+    @property
+    def uses_umap(self) -> bool:
+        return self.feature_mode != "selected_only"
+
+    @property
+    def uses_lasso(self) -> bool:
+        return self.feature_mode != "embedding_only"
 
 
-def _mapping(value, path: str) -> dict:
+@dataclass(frozen=True)
+class IoSettings:
+    """Where `fit` reads and writes; the command line may override each."""
+
+    data: str | None = None
+    out: str | None = None
+    label_column: str = "fertility"
+
+
+# field type -> (JSON types it accepts, how the type error names it)
+_SCALARS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
+def _keys(cls) -> list:
+    return [f for f in fields(cls) if not f.metadata.get("derived")]
+
+
+def _object(value, path: str) -> dict:
     if not isinstance(value, dict):
-        raise ConfigError(f"'{path}' must be an object")
+        raise ConfigError(f"'{path or 'config'}' must be an object")
     return dict(value)
 
 
-def _pop(doc: dict, key: str, default, caster, prefix: str):
-    if key not in doc:
-        return default
-    return caster(doc.pop(key), prefix + key)
+def _cast(tp, value, path: str):
+    if is_dataclass(tp):
+        return _parse(tp, value, path)
+    args = typing.get_args(tp)
+    if type(None) in args:  # X | None
+        if value is None:
+            return None
+        (tp,) = (a for a in args if a is not type(None))
+    accepted, noun = _SCALARS[tp]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"'{path}' must be {noun}")
+    return tp(value)
 
 
-def _reject_unknown(doc: dict, prefix: str) -> None:
+def _parse(cls, doc, path: str):
+    """Build `cls` from a mapping at key path `path`; omitted keys keep their
+    defaults."""
+    doc = _object(doc, path)
+    hints = typing.get_type_hints(cls)
+    prefix = path + "." if path else ""
+    kwargs = {
+        f.name: _cast(hints[f.name], doc.pop(f.name), prefix + f.name)
+        for f in _keys(cls)
+        if f.name in doc
+    }
     if doc:
         raise ConfigError(f"unknown key '{prefix}{next(iter(doc))}'")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
-def _umap_from_dict(doc: dict, prefix: str) -> UmapConfig:
-    defaults = UmapConfig()
-    cfg = dict(
-        k=_pop(doc, "k", defaults.k, _as_int, prefix),
-        out_dim=_pop(doc, "out_dim", defaults.out_dim, _as_int, prefix),
-        a=_pop(doc, "a", defaults.a, _as_float, prefix),
-        b=_pop(doc, "b", defaults.b, _as_float, prefix),
-        epochs=_pop(doc, "epochs", defaults.epochs, _as_int, prefix),
-        initial_learning_rate=_pop(
-            doc, "learning_rate", defaults.initial_learning_rate, _as_float, prefix
-        ),
-        negative_samples=_pop(
-            doc, "negative_samples", defaults.negative_samples, _as_int, prefix
-        ),
-        eps=_pop(doc, "eps", defaults.eps, _as_float, prefix),
-        sigma_tol=_pop(doc, "sigma_tol", defaults.sigma_tol, _as_float, prefix),
-        sigma_max_iters=_pop(
-            doc, "sigma_max_iters", defaults.sigma_max_iters, _as_int, prefix
-        ),
-    )
-    _reject_unknown(doc, prefix)
-    return UmapConfig(**cfg)
-
-
-def _selection_from_dict(doc: dict, prefix: str) -> SelectionStrategy:
-    kind = _pop(doc, "strategy", "top_k", _as_str, prefix)
-    k = _pop(doc, "k", None, _as_int, prefix)
-    value = _pop(doc, "value", None, _as_float, prefix)
-    _reject_unknown(doc, prefix)
-    if kind == "top_k" and k is None:
-        k = 5
-    return SelectionStrategy(kind=kind, k=k, value=value)
-
-
-def _lasso_from_dict(doc: dict, prefix: str) -> LassoSettings:
-    defaults = LassoSettings()
-    grid_count = _pop(doc, "grid_count", defaults.grid_count, _as_int, prefix)
-    strategy = defaults.strategy
-    if "selection" in doc:
-        strategy = _selection_from_dict(
-            _mapping(doc.pop("selection"), prefix + "selection"), prefix + "selection."
-        )
-    _reject_unknown(doc, prefix)
-    return LassoSettings(grid_count=grid_count, strategy=strategy)
-
-
-def _sarn_from_dict(doc: dict, prefix: str) -> SarnSettings:
-    d = SarnSettings()
-    cfg = dict(
-        kernel_size=_pop(doc, "kernel_size", d.kernel_size, _as_int, prefix),
-        channels=_pop(doc, "channels", d.channels, _as_int, prefix),
-        rank=_pop(doc, "rank", d.rank, _as_int, prefix),
-        hidden=_pop(doc, "hidden", d.hidden, _as_int, prefix),
-        dropout_rate=_pop(doc, "dropout_rate", d.dropout_rate, _as_float, prefix),
-        reg_lambda=_pop(doc, "reg_lambda", d.reg_lambda, _as_float, prefix),
-        label_smoothing=_pop(
-            doc, "label_smoothing", d.label_smoothing, _as_float, prefix
-        ),
-        mask_len=_pop(doc, "mask_len", d.mask_len, _as_opt_int, prefix),
-        epochs=_pop(doc, "epochs", d.epochs, _as_int, prefix),
-        learning_rate=_pop(doc, "learning_rate", d.learning_rate, _as_float, prefix),
-        batch_size=_pop(doc, "batch_size", d.batch_size, _as_int, prefix),
-        loss_head=_pop(doc, "loss_head", d.loss_head, _as_str, prefix),
-    )
-    _reject_unknown(doc, prefix)
-    return SarnSettings(**cfg)
+def config_to_dict(config) -> dict:
+    """The JSON form of a settings dataclass, every key present."""
+    doc = {}
+    for f in _keys(config):
+        value = getattr(config, f.name)
+        doc[f.name] = config_to_dict(value) if is_dataclass(value) else value
+    return doc
 
 
 def pipeline_config_from_dict(doc: dict) -> PipelineConfig:
     """Parse (a copy of) a config mapping into a PipelineConfig, strictly."""
-    doc = _mapping(doc, "config")
-    try:
-        cfg = PipelineConfig(
-            seed=_pop(doc, "seed", 0, _as_int, ""),
-            balance=_pop(doc, "balance", "none", _as_str, ""),
-            train_fraction=_pop(doc, "train_fraction", 0.8, _as_float, ""),
-            feature_mode=_pop(doc, "feature_mode", "selected_plus_embedding", _as_str, ""),
-            umap=_umap_from_dict(_mapping(doc.pop("umap", {}), "umap"), "umap."),
-            lasso=_lasso_from_dict(_mapping(doc.pop("lasso", {}), "lasso"), "lasso."),
-            sarn=_sarn_from_dict(_mapping(doc.pop("sarn", {}), "sarn"), "sarn."),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _reject_unknown(doc, "")
-    return cfg
+    return _parse(PipelineConfig, doc, "")
 
 
-def parse_cli_config(doc: dict) -> tuple[PipelineConfig, dict]:
-    """Split a CLI config document into pipeline settings and I/O settings
-    (data path, output directory, label column)."""
-    doc = _mapping(doc, "config")
-    io = {
-        "data": _pop(doc, "data", None, _as_str, ""),
-        "out": _pop(doc, "out", None, _as_str, ""),
-        "label_column": _pop(doc, "label_column", "fertility", _as_str, ""),
-    }
+def parse_cli_config(doc: dict) -> tuple[PipelineConfig, IoSettings]:
+    """Split a CLI config document into pipeline settings and I/O settings."""
+    doc = _object(doc, "")
+    io_keys = [f.name for f in fields(IoSettings)]
+    io = _parse(IoSettings, {k: doc.pop(k) for k in io_keys if k in doc}, "")
     return pipeline_config_from_dict(doc), io
+
+
+def validate(config: PipelineConfig, n_features: int, n_classes: int) -> None:
+    """Reject, before any stage runs, a config whose sarn stage would fail on
+    the classifier input width known before fitting: `umap.out_dim`,
+    min(top_k `k`, n_features), or their sum. A lambda_at/min_mse selection's
+    width is known only after LASSO, so `check_sarn` runs again then."""
+    selection = config.lasso.selection
+    width = None
+    if not config.uses_lasso or selection.strategy == "top_k":
+        width = (min(selection.k, n_features) if config.uses_lasso else 0) + (
+            config.umap.out_dim if config.uses_umap else 0
+        )
+    check_sarn(config, n_classes, width)
+
+
+def check_sarn(config: PipelineConfig, n_classes: int, width: int | None) -> None:
+    """Build the training schedule and, if `width` is known, the model the sarn
+    stage would build; raise ConfigError naming the keys if either fails."""
+    sarn = config.sarn
+    if width is not None and width < sarn.kernel_size:
+        sources = []
+        if config.uses_lasso:
+            top_k = config.lasso.selection.strategy == "top_k"
+            sources.append("lasso.selection.k" if top_k else "lasso.selection")
+        if config.uses_umap:
+            sources.append("umap.out_dim")
+        raise ConfigError(
+            f"'sarn.kernel_size' {sarn.kernel_size} exceeds the classifier input "
+            f"width {width} set by {' + '.join(sources)}"
+        )
+    try:
+        sarn.train_config(0)
+        if width is not None:
+            sarn.init_model(width, n_classes, 0)
+    except ValueError as exc:
+        raise ConfigError(f"sarn: {exc}") from exc

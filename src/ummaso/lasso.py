@@ -12,8 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataFormatError
+
 ACTIVE_THRESHOLD = 1e-12  # |beta| above this counts as a non-zero coefficient
 GRID_RATIO = 1e-3  # smallest grid lambda relative to lambda_max
+_PATH_CSV_COLUMNS = ["lambda", "df", "mse", "intercept", "converged"]  # then beta_j
 
 
 @dataclass(frozen=True)
@@ -46,16 +49,16 @@ class FeatureRanking:
 
 @dataclass(frozen=True)
 class SelectionStrategy:
-    kind: str  # top_k | lambda_at | min_mse
-    k: int | None = None
-    value: float | None = None
+    strategy: str = "top_k"  # top_k | lambda_at | min_mse
+    k: int = 5  # used by top_k
+    value: float | None = None  # used by lambda_at
 
     def __post_init__(self):
-        if self.kind not in ("top_k", "lambda_at", "min_mse"):
-            raise ValueError(f"unknown selection strategy '{self.kind}'")
-        if self.kind == "top_k" and (self.k is None or self.k < 0):
+        if self.strategy not in ("top_k", "lambda_at", "min_mse"):
+            raise ValueError(f"unknown selection strategy '{self.strategy}'")
+        if self.strategy == "top_k" and self.k < 0:
             raise ValueError("top_k requires a non-negative k")
-        if self.kind == "lambda_at" and self.value is None:
+        if self.strategy == "lambda_at" and self.value is None:
             raise ValueError("lambda_at requires a lambda value")
 
 
@@ -210,16 +213,16 @@ def rank_features(path: LassoPath, names: list[str]) -> FeatureRanking:
     return FeatureRanking(order=order, entry_lambdas=entry, names=list(names))
 
 
-def select(path: LassoPath, strategy: SelectionStrategy) -> list[int]:
+def select(path: LassoPath, selection: SelectionStrategy) -> list[int]:
     """Pick a feature subset from the fitted path; returns sorted indices."""
     p = path.coef_matrix.shape[1]
-    if strategy.kind == "top_k":
-        if strategy.k > p:
-            raise ValueError(f"top_k k={strategy.k} exceeds feature count {p}")
+    if selection.strategy == "top_k":
+        if selection.k > p:
+            raise ValueError(f"top_k k={selection.k} exceeds feature count {p}")
         ranking = rank_features(path, [str(j) for j in range(p)])
-        return sorted(ranking.order[: strategy.k])
-    if strategy.kind == "lambda_at":
-        row = int(np.argmin(np.abs(path.lambdas - strategy.value)))
+        return sorted(ranking.order[: selection.k])
+    if selection.strategy == "lambda_at":
+        row = int(np.argmin(np.abs(path.lambdas - selection.value)))
     else:  # min_mse
         row = int(np.argmin(path.mse))
     return sorted(
@@ -228,12 +231,41 @@ def select(path: LassoPath, strategy: SelectionStrategy) -> list[int]:
 
 
 def path_to_csv(path: LassoPath, file_path: str) -> None:
-    """Coefficient-path export: lambda, df, mse, beta_0..beta_{p-1} per row."""
+    """Coefficient-path export, one row per lambda: lambda, df, mse, intercept,
+    converged (1/0), beta_0..beta_{p-1}."""
     p = path.coef_matrix.shape[1]
-    header = ["lambda", "df", "mse"] + [f"beta_{j}" for j in range(p)]
+    header = _PATH_CSV_COLUMNS + [f"beta_{j}" for j in range(p)]
     with open(file_path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for t in range(path.lambdas.size):
             cells = [repr(float(path.lambdas[t])), str(int(path.df[t])), repr(float(path.mse[t]))]
+            cells += [repr(float(path.intercepts[t])), str(int(path.converged[t]))]
             cells += [repr(float(v)) for v in path.coef_matrix[t]]
             fh.write(",".join(cells) + "\n")
+
+
+def load_path_csv(path: str) -> LassoPath:
+    """Rebuild a LassoPath from its CSV export (`path_to_csv`)."""
+    lambdas, dfs, mses, intercepts, converged, coefs = [], [], [], [], [], []
+    with open(path, encoding="utf-8") as fh:
+        header = next(fh).rstrip("\n").split(",")
+        if header[: len(_PATH_CSV_COLUMNS)] != _PATH_CSV_COLUMNS:
+            raise DataFormatError(
+                f"{path}: header must start with {','.join(_PATH_CSV_COLUMNS)}"
+            )
+        for line in fh:
+            cells = line.rstrip("\n").split(",")
+            lambdas.append(float(cells[0]))
+            dfs.append(int(cells[1]))
+            mses.append(float(cells[2]))
+            intercepts.append(float(cells[3]))
+            converged.append(cells[4] == "1")
+            coefs.append([float(v) for v in cells[5:]])
+    return LassoPath(
+        lambdas=np.asarray(lambdas),
+        coef_matrix=np.asarray(coefs),
+        intercepts=np.asarray(intercepts),
+        df=np.asarray(dfs, dtype=np.int64),
+        mse=np.asarray(mses),
+        converged=np.asarray(converged, dtype=bool),
+    )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,17 @@ from . import dataset as ds
 from . import lasso as ls
 from . import metrics as mt
 from . import umap as um
-from .errors import StageError
+from .config import (  # the settings classes and echo are re-exported here
+    LassoSettings,
+    PipelineConfig,
+    SarnSettings,
+    check_sarn,
+    config_to_dict,
+    pipeline_config_from_dict,
+    validate,
+)
+from .errors import DataFormatError, StageError
+from .lasso import load_path_csv  # re-exported; lasso owns the path CSV format
 from .sarn import network as nw
 
 SEED_SPLIT = 101
@@ -29,10 +39,7 @@ SEED_OVERSAMPLE = 211
 SEED_UMAP = 307
 SEED_SARN = 401
 
-FEATURE_MODES = ("selected_only", "embedding_only", "selected_plus_embedding")
-BALANCE_MODES = ("none", "oversample")
-
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 ARTIFACT_FILES = (
     "standardization.json",
@@ -45,55 +52,6 @@ ARTIFACT_FILES = (
     "metrics.json",
     "manifest.json",
 )
-
-
-@dataclass(frozen=True)
-class LassoSettings:
-    grid_count: int = 100
-    strategy: ls.SelectionStrategy = field(
-        default_factory=lambda: ls.SelectionStrategy("top_k", k=5)
-    )
-
-
-@dataclass(frozen=True)
-class SarnSettings:
-    kernel_size: int = 3
-    channels: int = 8
-    rank: int = 2
-    hidden: int = 16
-    dropout_rate: float = 0.1
-    reg_lambda: float = 1e-4
-    label_smoothing: float = 0.05
-    mask_len: int | None = None
-    epochs: int = 200
-    learning_rate: float = 0.05
-    batch_size: int = 32
-    loss_head: str = nw.DKL_HEAD
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    seed: int = 0
-    balance: str = "none"
-    train_fraction: float = 0.8
-    feature_mode: str = "selected_plus_embedding"
-    umap: um.UmapConfig = field(default_factory=um.UmapConfig)
-    lasso: LassoSettings = field(default_factory=LassoSettings)
-    sarn: SarnSettings = field(default_factory=SarnSettings)
-
-    def __post_init__(self):
-        if self.balance not in BALANCE_MODES:
-            raise ValueError(f"balance must be one of {BALANCE_MODES}")
-        if self.feature_mode not in FEATURE_MODES:
-            raise ValueError(f"feature_mode must be one of {FEATURE_MODES}")
-
-    @property
-    def uses_umap(self) -> bool:
-        return self.feature_mode != "selected_only"
-
-    @property
-    def uses_lasso(self) -> bool:
-        return self.feature_mode != "embedding_only"
 
 
 @dataclass
@@ -116,49 +74,6 @@ class PipelineArtifacts:
     metrics_report: mt.MetricsReport
     timings: dict[str, float]
     stages: list[str]
-
-
-def config_to_dict(config: PipelineConfig) -> dict:
-    strategy = {"strategy": config.lasso.strategy.kind}
-    if config.lasso.strategy.k is not None:
-        strategy["k"] = config.lasso.strategy.k
-    if config.lasso.strategy.value is not None:
-        strategy["value"] = config.lasso.strategy.value
-    u = config.umap
-    s = config.sarn
-    return {
-        "seed": config.seed,
-        "balance": config.balance,
-        "train_fraction": config.train_fraction,
-        "feature_mode": config.feature_mode,
-        "umap": {
-            "k": u.k,
-            "out_dim": u.out_dim,
-            "a": u.a,
-            "b": u.b,
-            "epochs": u.epochs,
-            "learning_rate": u.initial_learning_rate,
-            "negative_samples": u.negative_samples,
-            "eps": u.eps,
-            "sigma_tol": u.sigma_tol,
-            "sigma_max_iters": u.sigma_max_iters,
-        },
-        "lasso": {"grid_count": config.lasso.grid_count, "selection": strategy},
-        "sarn": {
-            "kernel_size": s.kernel_size,
-            "channels": s.channels,
-            "rank": s.rank,
-            "hidden": s.hidden,
-            "dropout_rate": s.dropout_rate,
-            "reg_lambda": s.reg_lambda,
-            "label_smoothing": s.label_smoothing,
-            "mask_len": s.mask_len,
-            "epochs": s.epochs,
-            "learning_rate": s.learning_rate,
-            "batch_size": s.batch_size,
-            "loss_head": s.loss_head,
-        },
-    }
 
 
 def _embed_new(
@@ -203,7 +118,10 @@ def _assemble(
 
 def run(data: ds.Dataset, config: PipelineConfig) -> PipelineArtifacts:
     """Execute the configured stages in order; any failure aborts with the
-    stage name. Fully deterministic for a fixed (dataset, config)."""
+    stage name. A config the sarn stage would reject at an input width known
+    up front raises ConfigError before the first stage. Fully deterministic
+    for a fixed (dataset, config)."""
+    validate(config, data.n_features, data.n_classes)
     timings: dict[str, float] = {}
     stages: list[str] = []
 
@@ -223,8 +141,12 @@ def run(data: ds.Dataset, config: PipelineConfig) -> PipelineArtifacts:
             data, ds.SplitSpec(config.train_fraction, config.seed + SEED_SPLIT)
         ),
     )
-    train_std, std_params = stage("standardize", lambda: ds.standardize(train))
-    test_features = ds.apply_standardization(test.features, std_params)
+
+    def run_standardize():
+        train_std, params = ds.standardize(train)
+        return train_std, params, ds.apply_standardization(test.features, params)
+
+    train_std, std_params, test_features = stage("standardize", run_standardize)
 
     if config.balance == "oversample":
         train_std = stage(
@@ -235,8 +157,13 @@ def run(data: ds.Dataset, config: PipelineConfig) -> PipelineArtifacts:
     test_coords = None
     if config.uses_umap:
         umap_cfg = replace(config.umap, seed=config.seed + SEED_UMAP)
-        graph, embedding = stage("umap", lambda: um.embed(train_std.features, umap_cfg))
-        test_coords = _embed_new(test_features, graph, embedding, train_std.features)
+
+        def run_umap():
+            graph, embedding = um.embed(train_std.features, umap_cfg)
+            coords = _embed_new(test_features, graph, embedding, train_std.features)
+            return graph, embedding, coords
+
+        graph, embedding, test_coords = stage("umap", run_umap)
 
     path = ranking = selected = None
     if config.uses_lasso:
@@ -248,45 +175,27 @@ def run(data: ds.Dataset, config: PipelineConfig) -> PipelineArtifacts:
             )
             path = ls.fit_path(train_std.features, response, grid)
             ranking = ls.rank_features(path, train_std.feature_names)
-            return path, ranking, ls.select(path, config.lasso.strategy)
+            return path, ranking, ls.select(path, config.lasso.selection)
 
         path, ranking, selected = stage("lasso", run_lasso)
 
-    train_feats = stage(
-        "features",
-        lambda: _assemble(
-            train_std.features,
-            embedding.coordinates if embedding is not None else None,
-            selected,
-            config.feature_mode,
-        ),
-    )
-    test_feats = _assemble(test_features, test_coords, selected, config.feature_mode)
+    def run_features():
+        mode = config.feature_mode
+        train_coords = embedding.coordinates if embedding is not None else None
+        train_feats = _assemble(train_std.features, train_coords, selected, mode)
+        check_sarn(config, data.n_classes, train_feats.shape[1])
+        return train_feats, _assemble(test_features, test_coords, selected, mode)
+
+    train_feats, test_feats = stage("features", run_features)
 
     def run_sarn():
-        s = config.sarn
-        model = nw.init_model(
-            train_feats.shape[1],
-            data.n_classes,
-            kernel_size=s.kernel_size,
-            channels=s.channels,
-            rank=s.rank,
-            hidden=s.hidden,
-            dropout_rate=s.dropout_rate,
-            reg_lambda=s.reg_lambda,
-            label_smoothing=s.label_smoothing,
-            mask_len=s.mask_len,
-            seed=config.seed + SEED_SARN,
-        )
-        train_cfg = nw.TrainConfig(
-            epochs=s.epochs,
-            learning_rate=s.learning_rate,
-            batch_size=s.batch_size,
-            seed=config.seed + SEED_SARN,
-            loss_head=s.loss_head,
-        )
+        seed = config.seed + SEED_SARN
+        model = config.sarn.init_model(train_feats.shape[1], data.n_classes, seed)
         return nw.train(
-            (train_feats, train_std.labels), (test_feats, test.labels), model, train_cfg
+            (train_feats, train_std.labels),
+            (test_feats, test.labels),
+            model,
+            config.sarn.train_config(seed),
         )
 
     model, history = stage("sarn", run_sarn)
@@ -396,6 +305,7 @@ def save_artifacts(artifacts: PipelineArtifacts, out_dir: str) -> None:
                 f"{repr(float(h.val_loss[e]))},{repr(float(h.val_accuracy[e]))}\n"
             )
     _dump_json(mt.report_to_dict(artifacts.metrics_report), join("metrics.json"))
+    emb = artifacts.embedding
     _dump_json(
         {
             "manifest_version": MANIFEST_VERSION,
@@ -404,8 +314,9 @@ def save_artifacts(artifacts: PipelineArtifacts, out_dir: str) -> None:
             "config": config_to_dict(artifacts.config),
             "feature_names": artifacts.feature_names,
             "class_names": artifacts.class_names,
-            "embedding_final_loss": (
-                artifacts.embedding.final_loss if artifacts.embedding is not None else None
+            "embedding_final_loss": emb.final_loss if emb is not None else None,
+            "embedding_epoch_losses": (
+                [float(v) for v in emb.epoch_losses] if emb is not None else None
             ),
         },
         join("manifest.json"),
@@ -429,31 +340,6 @@ def load_embedding_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(rows), np.asarray(labels, dtype=np.int64)
 
 
-def load_path_csv(path: str) -> ls.LassoPath:
-    """Rebuild a LassoPath from its CSV export (convergence flags are not
-    persisted and load as True)."""
-    lambdas, dfs, mses, coefs = [], [], [], []
-    with open(path, encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            cells = line.rstrip("\n").split(",")
-            lambdas.append(float(cells[0]))
-            dfs.append(int(cells[1]))
-            mses.append(float(cells[2]))
-            coefs.append([float(v) for v in cells[3:]])
-    lambdas = np.asarray(lambdas)
-    coef_matrix = np.asarray(coefs)
-    intercepts = np.zeros(lambdas.size)
-    return ls.LassoPath(
-        lambdas=lambdas,
-        coef_matrix=coef_matrix,
-        intercepts=intercepts,
-        df=np.asarray(dfs, dtype=np.int64),
-        mse=np.asarray(mses),
-        converged=np.ones(lambdas.size, dtype=bool),
-    )
-
-
 def load_history_csv(path: str) -> nw.TrainHistory:
     tl, ta, vl, va = [], [], [], []
     with open(path, encoding="utf-8") as fh:
@@ -473,11 +359,14 @@ def load_history_csv(path: str) -> nw.TrainHistory:
 
 
 def load_artifacts(out_dir: str) -> PipelineArtifacts:
-    """Reload a saved artifacts directory; enough to transform and predict."""
-    from .config import pipeline_config_from_dict  # local import to avoid a cycle
-
+    """Reload a saved artifacts directory, losslessly."""
     join = lambda name: os.path.join(out_dir, name)
     manifest = _load_json(join("manifest.json"))
+    if manifest.get("manifest_version") != MANIFEST_VERSION:
+        raise DataFormatError(
+            f"{out_dir}: manifest_version {manifest.get('manifest_version')} is not "
+            f"{MANIFEST_VERSION}; refit to write a current artifacts directory"
+        )
     config = pipeline_config_from_dict(manifest["config"])
     std_doc = _load_json(join("standardization.json"))
     std = ds.StandardizationParams(
@@ -506,12 +395,12 @@ def load_artifacts(out_dir: str) -> PipelineArtifacts:
             coordinates=coords,
             a=config.umap.a,
             b=config.umap.b,
-            final_loss=manifest.get("embedding_final_loss") or 0.0,
-            epoch_losses=np.zeros(0),
+            final_loss=manifest["embedding_final_loss"],
+            epoch_losses=np.asarray(manifest["embedding_epoch_losses"], dtype=np.float64),
         )
     path = ranking = selected = None
     if config.uses_lasso:
-        path = load_path_csv(join("lasso_path.csv"))
+        path = ls.load_path_csv(join("lasso_path.csv"))
         sel_doc = _load_json(join("selection.json"))
         selected = [int(v) for v in sel_doc["selected_indices"]]
         ranking = ls.FeatureRanking(

@@ -16,7 +16,7 @@ y += lr * step.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -52,12 +52,13 @@ class UmapConfig:
     a: float = 1.0
     b: float = 1.0
     epochs: int = 200
-    initial_learning_rate: float = 1.0
+    learning_rate: float = 1.0  # initial value; decays linearly to 0
     negative_samples: int = 5
     eps: float = 1e-3
     sigma_tol: float = 1e-5
     sigma_max_iters: int = 64
-    seed: int = 0
+    # set from the master seed, so not a config key
+    seed: int = field(default=0, metadata={"derived": True})
 
     def __post_init__(self):
         if self.k < 2:
@@ -68,8 +69,8 @@ class UmapConfig:
             raise ValueError("a and b must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if self.initial_learning_rate <= 0:
-            raise ValueError("initial_learning_rate must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         if self.negative_samples < 0:
             raise ValueError("negative_samples must be non-negative")
         if self.eps <= 0:
@@ -380,7 +381,7 @@ def optimize_layout(
     rng = np.random.default_rng(config.seed)
     losses = np.zeros(config.epochs)
     for epoch in range(config.epochs):
-        lr = config.initial_learning_rate * (1.0 - epoch / config.epochs)
+        lr = config.learning_rate * (1.0 - epoch / config.epochs)
         order = rng.permutation(n_edges)
         negatives = rng.integers(
             0, graph.n_points, size=(n_edges, config.negative_samples)

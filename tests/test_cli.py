@@ -109,6 +109,18 @@ class TestFit:
         assert code == 0
         assert "accuracy=" in stdout
 
+    def test_config_that_cannot_run_exits_2_before_fitting(self, workspace, tmp_path, capsys):
+        _, data_csv, _, _ = workspace
+        config = tmp_path / "narrow.json"
+        config.write_text(json.dumps({"feature_mode": "embedding_only"}))
+        out = tmp_path / "o"
+        code, stdout, err = run_cli(
+            capsys, "fit", "--data", data_csv, "--out", str(out), "--config", str(config)
+        )
+        assert code == 2 and stdout == ""
+        assert "sarn.kernel_size" in err and "umap.out_dim" in err
+        assert not out.exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"sarn": {"epoch": 10}}))

@@ -1,0 +1,71 @@
+import pytest
+
+from ummaso.config import (
+    LassoSettings,
+    PipelineConfig,
+    SarnSettings,
+    config_to_dict,
+    pipeline_config_from_dict,
+)
+from ummaso.errors import ConfigError
+from ummaso.lasso import SelectionStrategy
+from ummaso.umap import UmapConfig
+
+# A manifest `config` echo as written before the schema was derived from the
+# dataclasses: the selection block omits its unset `k` and `value`.
+OLD_MANIFEST_CONFIG = {
+    "balance": "oversample",
+    "feature_mode": "selected_only",
+    "lasso": {"grid_count": 25, "selection": {"strategy": "lambda_at", "value": 0.01}},
+    "sarn": {
+        "batch_size": 32, "channels": 8, "dropout_rate": 0.1, "epochs": 200,
+        "hidden": 16, "kernel_size": 2, "label_smoothing": 0.05, "learning_rate": 0.05,
+        "loss_head": "softmax_reg", "mask_len": 1, "rank": 2, "reg_lambda": 0.0001,
+    },
+    "seed": 9,
+    "train_fraction": 0.8,
+    "umap": {
+        "a": 1.0, "b": 1.0, "epochs": 11, "eps": 0.001, "k": 7, "learning_rate": 1.0,
+        "negative_samples": 5, "out_dim": 3, "sigma_max_iters": 64, "sigma_tol": 1e-05,
+    },
+}
+
+# (document, the parsed config or the ConfigError message it must raise)
+CASES = [
+    ({"sarn": {"epochs": True}}, "'sarn.epochs' must be an integer"),
+    ({"umap": {"seed": 3}}, "unknown key 'umap.seed'"),
+    ({"lasso": {"selection": {"strategy": "top_k", "kk": 3}}}, "unknown key 'lasso.selection.kk'"),
+    ({"umap": {"a": 2}}, PipelineConfig(umap=UmapConfig(a=2.0))),
+    ({"sarn": {"mask_len": None}}, PipelineConfig(sarn=SarnSettings(mask_len=None))),
+    (
+        {"lasso": {"selection": {"strategy": "top_k"}}},
+        PipelineConfig(lasso=LassoSettings(selection=SelectionStrategy("top_k", k=5))),
+    ),
+    ({"umap": {"k": 1}}, "umap: k must be at least 2"),
+    (
+        OLD_MANIFEST_CONFIG,
+        PipelineConfig(
+            seed=9,
+            balance="oversample",
+            feature_mode="selected_only",
+            umap=UmapConfig(k=7, out_dim=3, epochs=11),
+            lasso=LassoSettings(
+                grid_count=25, selection=SelectionStrategy("lambda_at", value=0.01)
+            ),
+            sarn=SarnSettings(kernel_size=2, loss_head="softmax_reg", mask_len=1),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, expect", CASES)
+def test_parse(doc, expect):
+    if isinstance(expect, str):
+        with pytest.raises(ConfigError) as info:
+            pipeline_config_from_dict(doc)
+        assert str(info.value) == expect
+        return
+    parsed = pipeline_config_from_dict(doc)
+    assert parsed == expect
+    assert pipeline_config_from_dict(config_to_dict(parsed)) == parsed
+    assert type(parsed.umap.a) is float

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from ummaso import dataset as ds
+from ummaso import lasso as ls
 from ummaso import pipeline as pl
+from ummaso import umap as um
 from ummaso.config import pipeline_config_from_dict
-from ummaso.errors import StageError
+from ummaso.errors import ConfigError, StageError
 from ummaso.lasso import SelectionStrategy
 from ummaso.sarn import network as nw
 from ummaso.umap import UmapConfig
@@ -103,7 +105,7 @@ class TestRun:
         data = soil_data(counts=(60, 30, 20), seed=3)
         config = quick_config(
             feature_mode="selected_only",
-            lasso=pl.LassoSettings(strategy=SelectionStrategy("top_k", k=5)),
+            lasso=pl.LassoSettings(selection=SelectionStrategy("top_k", k=5)),
             sarn=pl.SarnSettings(epochs=10),
         )
         artifacts = pl.run(data, config)
@@ -141,6 +143,74 @@ class TestRun:
         config = quick_config(umap=UmapConfig(k=15, epochs=5))  # k >= train size
         with pytest.raises(StageError, match="umap"):
             pl.run(data, config)
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Record calls to each stage's entry function (they still run)."""
+    calls = []
+    entries = [
+        (ds, "stratified_split"), (ds, "standardize"), (um, "embed"),
+        (ls, "fit_path"), (nw, "train"),
+    ]
+    for module, name in entries:
+        original = getattr(module, name)
+
+        def recorder(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorder)
+    return calls
+
+
+class TestFailFast:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(feature_mode="embedding_only", umap=UmapConfig()), "umap.out_dim"),
+            (
+                dict(
+                    feature_mode="selected_only",
+                    lasso=pl.LassoSettings(selection=SelectionStrategy("top_k", k=2)),
+                ),
+                "lasso.selection.k",
+            ),
+            (dict(sarn=pl.SarnSettings(rank=9)), "sarn: rank"),
+        ],
+    )
+    def test_rejected_before_the_first_stage(self, stage_calls, overrides, message):
+        data = soil_data(counts=(30, 15, 10), seed=8)
+        with pytest.raises(ConfigError, match=message) as info:
+            pl.run(data, quick_config(**overrides))
+        assert stage_calls == []
+        if "rank" not in message:
+            assert "'sarn.kernel_size'" in str(info.value)
+
+    def test_narrow_lasso_selection_fails_in_features_stage(self, stage_calls):
+        data = soil_data(counts=(30, 15, 10), seed=8)
+        # the largest grid lambda keeps every coefficient at zero: width 0
+        selection = SelectionStrategy("lambda_at", value=1e9)
+        config = quick_config(
+            feature_mode="selected_only", lasso=pl.LassoSettings(selection=selection)
+        )
+        with pytest.raises(StageError) as info:
+            pl.run(data, config)
+        assert info.value.stage == "features"
+        assert "lasso.selection" in str(info.value)
+        assert "sarn.kernel_size" in str(info.value)
+        assert "fit_path" in stage_calls and "train" not in stage_calls
+
+
+def test_test_row_embedding_failure_maps_to_umap_stage(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("embedding failed")
+
+    monkeypatch.setattr(pl, "_embed_new", broken)
+    data = soil_data(counts=(30, 15, 10), seed=8)
+    with pytest.raises(StageError) as info:
+        pl.run(data, quick_config(umap=UmapConfig(k=8, epochs=2)))
+    assert info.value.stage == "umap"
 
 
 def find_training_row(data, artifacts):
@@ -215,6 +285,23 @@ class TestArtifactsIO:
         np.testing.assert_array_equal(probs_a, probs_b)
         np.testing.assert_array_equal(labels_a, labels_b)
 
+    def test_reload_is_lossless(self, default_run, tmp_path):
+        _, _, artifacts = default_run
+        out = str(tmp_path / "artifacts")
+        pl.save_artifacts(artifacts, out)
+        loaded = pl.load_artifacts(out)
+        assert np.any(artifacts.lasso_path.intercepts != 0.0)
+        for name in ("lambdas", "coef_matrix", "intercepts", "df", "mse", "converged"):
+            a, b = getattr(artifacts.lasso_path, name), getattr(loaded.lasso_path, name)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        assert artifacts.embedding.epoch_losses.size == artifacts.config.umap.epochs
+        for name in ("coordinates", "epoch_losses"):
+            np.testing.assert_array_equal(
+                getattr(artifacts.embedding, name), getattr(loaded.embedding, name)
+            )
+        assert loaded.embedding.final_loss == artifacts.embedding.final_loss
+
     def test_metrics_json_deterministic_bytes(self, default_run, tmp_path):
         data, config, _ = default_run
         out_a = tmp_path / "a"
@@ -243,7 +330,7 @@ class TestConfigDict:
             balance="oversample",
             feature_mode="embedding_only",
             umap=UmapConfig(k=7, out_dim=3, epochs=11),
-            lasso=pl.LassoSettings(grid_count=25, strategy=SelectionStrategy("min_mse")),
+            lasso=pl.LassoSettings(grid_count=25, selection=SelectionStrategy("min_mse")),
             sarn=pl.SarnSettings(kernel_size=2, loss_head=nw.SOFTMAX_REG),
         )
         assert pipeline_config_from_dict(pl.config_to_dict(config)) == config

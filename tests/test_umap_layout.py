@@ -191,7 +191,7 @@ class TestOptimizeLayout:
         graph = single_edge_graph()
         coords = np.array([[0.0, 0.0], [3.0, 0.0]])
         config = um.UmapConfig(
-            k=2, out_dim=2, epochs=1, initial_learning_rate=0.5, negative_samples=0, seed=0
+            k=2, out_dim=2, epochs=1, learning_rate=0.5, negative_samples=0, seed=0
         )
         distances = [3.0]
         for _ in range(20):
