@@ -227,29 +227,17 @@ def cmd_select(args) -> int:
     label_column = args.label_column or io.label_column
     data = ds.load_csv(args.data, label_column=label_column)
     standardized, _ = ds.standardize(data)
-    response = standardized.labels.astype(np.float64)
-    grid = ls.lambda_grid(
-        standardized.features, response - response.mean(), config.lasso.grid_count
+    path, ranking, selected = ls.fit_selection(
+        standardized.features,
+        standardized.labels,
+        standardized.feature_names,
+        config.lasso.grid_count,
+        config.lasso.selection,
     )
-    path = ls.fit_path(standardized.features, response, grid)
-    ranking = ls.rank_features(path, standardized.feature_names)
-    selected = ls.select(path, config.lasso.selection)
     os.makedirs(args.out, exist_ok=True)
     ls.path_to_csv(path, os.path.join(args.out, "lasso_path.csv"))
     with open(os.path.join(args.out, "ranking.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "order": ranking.order,
-                "entry_lambdas": [
-                    v if v is not None else "never" for v in ranking.entry_lambdas
-                ],
-                "names": ranking.names,
-                "selected_indices": selected,
-            },
-            fh,
-            sort_keys=True,
-            indent=1,
-        )
+        json.dump(ls.ranking_to_dict(ranking, selected), fh, sort_keys=True, indent=1)
     print("ranking=" + ",".join(str(j) for j in ranking.order))
     return 0
 

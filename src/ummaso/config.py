@@ -178,14 +178,20 @@ def parse_cli_config(doc: dict) -> tuple[PipelineConfig, IoSettings]:
 
 
 def validate(config: PipelineConfig, n_features: int, n_classes: int) -> None:
-    """Reject, before any stage runs, a config whose sarn stage would fail on
-    the classifier input width known before fitting: `umap.out_dim`,
-    min(top_k `k`, n_features), or their sum. A lambda_at/min_mse selection's
-    width is known only after LASSO, so `check_sarn` runs again then."""
+    """Reject, before any stage runs, a top_k `k` above the feature count and
+    a config whose sarn stage would fail on the classifier input width known
+    before fitting: `umap.out_dim`, top_k `k`, or their sum. A
+    lambda_at/min_mse selection's width is known only after LASSO, so
+    `check_sarn` runs again then."""
     selection = config.lasso.selection
+    top_k = config.uses_lasso and selection.strategy == "top_k"
+    if top_k and selection.k > n_features:
+        raise ConfigError(
+            f"'lasso.selection.k' {selection.k} exceeds the feature count {n_features}"
+        )
     width = None
-    if not config.uses_lasso or selection.strategy == "top_k":
-        width = (min(selection.k, n_features) if config.uses_lasso else 0) + (
+    if not config.uses_lasso or top_k:
+        width = (selection.k if top_k else 0) + (
             config.umap.out_dim if config.uses_umap else 0
         )
     check_sarn(config, n_classes, width)

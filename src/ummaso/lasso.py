@@ -230,6 +230,42 @@ def select(path: LassoPath, selection: SelectionStrategy) -> list[int]:
     )
 
 
+def fit_selection(
+    X: np.ndarray,
+    labels: np.ndarray,
+    names: list[str],
+    grid_count: int,
+    selection: SelectionStrategy,
+) -> tuple[LassoPath, FeatureRanking, list[int]]:
+    """The LASSO stage on standardized features: regress the centred labels
+    over a `grid_count` lambda grid, rank the features and select a subset."""
+    response = np.asarray(labels, dtype=np.float64)
+    grid = lambda_grid(X, response - response.mean(), grid_count)
+    path = fit_path(X, response, grid)
+    return path, rank_features(path, names), select(path, selection)
+
+
+def ranking_to_dict(ranking: FeatureRanking, selected: list[int]) -> dict:
+    """JSON form of a ranking and its selection; a never-active feature's
+    entry lambda is written as "never"."""
+    return {
+        "order": ranking.order,
+        "entry_lambdas": [v if v is not None else "never" for v in ranking.entry_lambdas],
+        "names": ranking.names,
+        "selected_indices": selected,
+    }
+
+
+def ranking_from_dict(doc: dict) -> tuple[FeatureRanking, list[int]]:
+    """Inverse of `ranking_to_dict`."""
+    ranking = FeatureRanking(
+        order=[int(v) for v in doc["order"]],
+        entry_lambdas=[None if v == "never" else float(v) for v in doc["entry_lambdas"]],
+        names=list(doc["names"]),
+    )
+    return ranking, [int(v) for v in doc["selected_indices"]]
+
+
 def path_to_csv(path: LassoPath, file_path: str) -> None:
     """Coefficient-path export, one row per lambda: lambda, df, mse, intercept,
     converged (1/0), beta_0..beta_{p-1}."""

@@ -169,13 +169,13 @@ def run(data: ds.Dataset, config: PipelineConfig) -> PipelineArtifacts:
     if config.uses_lasso:
 
         def run_lasso():
-            response = train_std.labels.astype(np.float64)
-            grid = ls.lambda_grid(
-                train_std.features, response - response.mean(), config.lasso.grid_count
+            return ls.fit_selection(
+                train_std.features,
+                train_std.labels,
+                train_std.feature_names,
+                config.lasso.grid_count,
+                config.lasso.selection,
             )
-            path = ls.fit_path(train_std.features, response, grid)
-            ranking = ls.rank_features(path, train_std.feature_names)
-            return path, ranking, ls.select(path, config.lasso.selection)
 
         path, ranking, selected = stage("lasso", run_lasso)
 
@@ -284,14 +284,8 @@ def save_artifacts(artifacts: PipelineArtifacts, out_dir: str) -> None:
     if artifacts.ranking is not None:
         _dump_json(
             {
-                "selected_indices": artifacts.selected,
+                **ls.ranking_to_dict(artifacts.ranking, artifacts.selected),
                 "selected_names": [artifacts.feature_names[j] for j in artifacts.selected],
-                "order": artifacts.ranking.order,
-                "entry_lambdas": [
-                    v if v is not None else "never"
-                    for v in artifacts.ranking.entry_lambdas
-                ],
-                "names": artifacts.ranking.names,
             },
             join("selection.json"),
         )
@@ -401,15 +395,7 @@ def load_artifacts(out_dir: str) -> PipelineArtifacts:
     path = ranking = selected = None
     if config.uses_lasso:
         path = ls.load_path_csv(join("lasso_path.csv"))
-        sel_doc = _load_json(join("selection.json"))
-        selected = [int(v) for v in sel_doc["selected_indices"]]
-        ranking = ls.FeatureRanking(
-            order=[int(v) for v in sel_doc["order"]],
-            entry_lambdas=[
-                None if v == "never" else float(v) for v in sel_doc["entry_lambdas"]
-            ],
-            names=list(sel_doc["names"]),
-        )
+        ranking, selected = ls.ranking_from_dict(_load_json(join("selection.json")))
     return PipelineArtifacts(
         config=config,
         feature_names=list(manifest["feature_names"]),

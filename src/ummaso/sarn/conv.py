@@ -1,4 +1,4 @@
-"""Factorized sparse convolution.
+"""Factorized sparse convolution: the one module that knows its layout.
 
 A dense kernel K (s_h, s_w, m, n) is replaced by a channel-mixing matrix P
 plus, per input channel i, a low-rank pair (Q_i, S_i): the transformed kernel
@@ -6,6 +6,10 @@ slice R(.,.,i,.) reshaped to (s_h*s_w, n) is approximated as Q_i @ S_i with
 Q_i (s_h*s_w, q1) and S_i (q1, n). The forward pass then needs only the
 q1-channel correlations T_i followed by one matrix multiplication, and agrees
 with the direct convolution up to the rank-q1 truncation error.
+
+`factorized_forward` and `factorized_backward` are the batched forward and
+backward passes over (P, Q, S); the SARN network trains through them and
+`sparse_forward` wraps the forward pass for one input map.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,14 @@ class ConvSpec:
 
 
 def _windows(I: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Sliding patches of shape (..., H-kh+1, W-kw+1, m, kh, kw)."""
-    return sliding_window_view(I, (kh, kw), axis=(I.ndim - 3, I.ndim - 2))
+    """Read-only view of the sliding patches of I (..., H, W, m), shaped
+    (..., H-kh+1, W-kw+1, m, kh, kw). Built with as_strided because
+    sliding_window_view's argument checks cost more than the einsums over
+    the view at training batch sizes; callers check the kernel fits."""
+    *lead, h, w, m = I.shape
+    sy, sx, sc = I.strides[-3:]
+    shape = (*lead, h - kh + 1, w - kw + 1, m, kh, kw)
+    return as_strided(I, shape, I.strides[:-3] + (sy, sx, sc, sy, sx), writeable=False)
 
 
 def direct_conv(I: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -103,59 +113,22 @@ def transform_kernel(K: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 
 def truncated_svd(M: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best rank-`rank` factors of M by one-sided Jacobi orthogonalization.
+    """Best rank-`rank` factors of M from LAPACK's SVD.
 
-    Returns (U, s, Vt) with U (r, rank), s descending, Vt (rank, c). Sweeps
-    rotate column pairs until the Gram matrix is diagonal to round-off, which
-    converges unconditionally and is deterministic.
+    Returns (U, s, Vt) with U (r, rank), s descending, Vt (rank, c). Signs are
+    fixed so the largest-magnitude entry of each U column is positive (the
+    first such entry on ties); Vt's rows carry the matching signs.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValueError("M must be a matrix")
-    rows, cols = M.shape
-    if not 1 <= rank <= min(rows, cols):
-        raise ValueError(f"rank must lie in [1, {min(rows, cols)}]")
-    transposed = rows < cols
-    A = (M.T if transposed else M).copy()
-    n = A.shape[1]
-    V = np.eye(n)
-    scale = np.linalg.norm(A)
-    tol = 1e-15 * max(scale, 1.0)
-    for _ in range(60):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                app = A[:, p] @ A[:, p]
-                aqq = A[:, q] @ A[:, q]
-                apq = A[:, p] @ A[:, q]
-                if abs(apq) <= tol * np.sqrt(max(app * aqq, np.finfo(float).tiny)):
-                    continue
-                zeta = (aqq - app) / (2.0 * apq)
-                if zeta >= 0.0:
-                    t = 1.0 / (zeta + np.hypot(1.0, zeta))
-                else:
-                    t = 1.0 / (zeta - np.hypot(1.0, zeta))
-                c = 1.0 / np.hypot(1.0, t)
-                s = c * t
-                col_p = A[:, p].copy()
-                A[:, p] = c * col_p - s * A[:, q]
-                A[:, q] = s * col_p + c * A[:, q]
-                col_p = V[:, p].copy()
-                V[:, p] = c * col_p - s * V[:, q]
-                V[:, q] = s * col_p + c * V[:, q]
-                rotated = True
-        if not rotated:
-            break
-    norms = np.linalg.norm(A, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
-    A = A[:, order]
-    V = V[:, order]
-    U = A / np.where(norms > 0.0, norms, 1.0)
-    U[:, norms == 0.0] = 0.0
-    if transposed:
-        U, V = V, U
-    return U[:, :rank], norms[:rank], V[:, :rank].T
+    if not 1 <= rank <= min(M.shape):
+        raise ValueError(f"rank must lie in [1, {min(M.shape)}]")
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    U, s, Vt = U[:, :rank], s[:rank], Vt[:rank]
+    pivots = U[np.argmax(np.abs(U), axis=0), np.arange(rank)]
+    signs = np.where(pivots < 0.0, -1.0, 1.0)
+    return U * signs, s, signs[:, None] * Vt
 
 
 def factorize_kernel(
@@ -200,16 +173,49 @@ class FactorizedKernel:
         return cls(P=np.asarray(P, dtype=np.float64), S=S, Q=Q, recon_errors=errors)
 
 
+def factorized_forward(
+    I: np.ndarray, P: np.ndarray, Q: np.ndarray, S: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Factorized convolution of I (..., h, w, m) over any leading batch axes:
+    mix channels with P, correlate each channel with its q1 bases Q, then
+    combine bases with S. Returns the output O (..., Y, X, n) and the basis
+    correlations T (..., Y, X, q1, m) that `factorized_backward` needs."""
+    kh, kw = Q.shape[1], Q.shape[2]
+    win = _windows(transform_input(I, P), kh, kw)
+    T = np.einsum("iuvq,...yxiuv->...yxqi", Q, win)
+    return np.einsum("iqj,...yxqi->...yxj", S, T), T
+
+
+def factorized_backward(
+    I: np.ndarray,
+    T: np.ndarray,
+    P: np.ndarray,
+    Q: np.ndarray,
+    S: np.ndarray,
+    d_O: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients (d_P, d_Q, d_S) of a loss whose gradient with respect to the
+    output of `factorized_forward(I, P, Q, S)` is d_O; T is that call's basis
+    correlations. Leading batch axes are summed over."""
+    kh, kw = Q.shape[1], Q.shape[2]
+    I = I.reshape((-1,) + I.shape[-3:])
+    T = T.reshape((-1,) + T.shape[-4:])
+    d_O = d_O.reshape((-1,) + d_O.shape[-3:])
+    d_T = np.einsum("iqj,byxj->byxqi", S, d_O)
+    d_S = np.einsum("byxj,byxqi->iqj", d_O, T)
+    # d_Q and d_P both contract d_T with the raw input patches
+    F = np.einsum("byxqi,byxkuv->iuvqk", d_T, _windows(I, kh, kw))
+    d_Q = np.einsum("ik,iuvqk->iuvq", P, F)
+    d_P = np.einsum("iuvq,iuvqk->ik", Q, F)
+    return d_P, d_Q, d_S
+
+
 def sparse_forward(I: np.ndarray, fk: FactorizedKernel) -> np.ndarray:
-    """Convolution through the factorized path: mix channels, correlate each
-    channel with its q1 bases, then combine bases with the S matrices."""
+    """Convolution of one input map (h, w, m) through the factorized path."""
     I = np.asarray(I, dtype=np.float64)
     m = fk.S.shape[0]
     if I.ndim != 3 or I.shape[2] != m:
         raise ValueError(f"input must be (h, w, {m})")
-    kh, kw = fk.Q.shape[1], fk.Q.shape[2]
-    if kh > I.shape[0] or kw > I.shape[1]:
+    if fk.Q.shape[1] > I.shape[0] or fk.Q.shape[2] > I.shape[1]:
         raise ValueError("kernel is larger than the input")
-    J = transform_input(I, fk.P)
-    T = np.einsum("iuvk,YXiuv->YXki", fk.Q, _windows(J, kh, kw))
-    return np.einsum("ikj,YXki->YXj", fk.S, T)
+    return factorized_forward(I, fk.P, fk.Q, fk.S)[0]

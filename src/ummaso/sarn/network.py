@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import NumericalError
-from .conv import ConvSpec, FactorizedKernel
+from .conv import ConvSpec, FactorizedKernel, factorized_backward, factorized_forward
 
 PROB_CLAMP = 1e-12  # lower bound on probabilities inside KL terms
 PRUNE_THRESHOLD = 1e-3  # |S| entries below this are zeroed after training
@@ -263,10 +262,7 @@ def _forward(
     B = X.shape[0]
     n = spec.out_channels
     I = X.reshape(B, spec.height, spec.width, spec.channels)
-    J = np.einsum("ik,byxk->byxi", model.P, I)
-    win = sliding_window_view(J, (spec.kernel_height, spec.kernel_size), axis=(1, 2))
-    T = np.einsum("iuvk,byxiuv->byxki", model.Q, win)
-    O = np.einsum("ikj,byxki->byxj", model.S, T)
+    O, T = factorized_forward(I, model.P, model.Q, model.S)
     H = O.reshape(B, spec.positions, n)
     if not np.all(np.isfinite(H)):
         raise NumericalError("non-finite values in convolution output")
@@ -298,8 +294,6 @@ def _forward(
         raise NumericalError("non-finite output probabilities")
     return {
         "I": I,
-        "J": J,
-        "win": win,
         "T": T,
         "H": H,
         "G": G,
@@ -311,40 +305,6 @@ def _forward(
         "hidden": hidden,
         "probs": probs,
     }
-
-
-def sparse_attention(
-    H: np.ndarray,
-    model: SarnModel,
-    training: bool = False,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Score, mask, (optionally) drop out and softmax one hidden matrix, then
-    gate it elementwise. Returns (gated hidden matrix, attention weights)."""
-    H = np.asarray(H, dtype=np.float64)
-    positions, n = model.spec.positions, model.spec.out_channels
-    if H.shape != (positions, n):
-        raise ValueError(f"expected hidden matrix of shape {(positions, n)}")
-    if model.mask_len < 1:
-        raise ValueError("mask_len of 0 leaves no unmasked positions")
-    G = np.concatenate([H, np.broadcast_to(model.h_t, H.shape)], axis=1)
-    pre = (G @ model.w_pw) * model.s_vec
-    pre[model.mask_len :] = -np.inf
-    if training and model.dropout_rate > 0.0:
-        rng = np.random.default_rng(seed)
-        dropped = rng.random(model.mask_len) < model.dropout_rate
-        keep = 1.0 / (1.0 - model.dropout_rate)
-        pre[: model.mask_len] = np.where(dropped, 0.0, pre[: model.mask_len] * keep)
-    weights = stable_softmax(pre)
-    return weights[:, None] * H, weights
-
-
-def output_head(H_gated: np.ndarray, w_out: np.ndarray, v_out: np.ndarray) -> np.ndarray:
-    """Flatten, tanh layer, linear layer, softmax: class probabilities."""
-    z = np.asarray(H_gated, dtype=np.float64).reshape(-1)
-    if z.size != w_out.shape[0]:
-        raise ValueError(f"flattened size {z.size} does not match w_out rows {w_out.shape[0]}")
-    return stable_softmax(np.tanh(z @ w_out) @ v_out)
 
 
 def _dkl_grad_wrt_probs(y: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -420,16 +380,9 @@ def gradients(
     d_h_t = np.sum(d_G[:, :, n:], axis=(0, 1))
 
     d_O = d_H.reshape(B, spec.out_height, spec.out_width, n)
-    d_T = np.einsum("ikj,byxj->byxki", model.S, d_O)
-    d_S = np.einsum("byxj,byxki->ikj", d_O, cache["T"])
-    d_Q = np.einsum("byxki,byxiuv->iuvk", d_T, cache["win"])
-    d_J = np.zeros_like(cache["J"])
-    for u in range(spec.kernel_height):
-        for v in range(spec.kernel_size):
-            d_J[:, u : u + spec.out_height, v : v + spec.out_width, :] += np.einsum(
-                "ik,byxki->byxi", model.Q[:, u, v, :], d_T
-            )
-    d_P = np.einsum("byxi,byxk->ik", d_J, cache["I"])
+    d_P, d_Q, d_S = factorized_backward(
+        cache["I"], cache["T"], model.P, model.Q, model.S, d_O
+    )
 
     grads = {
         "P": d_P + lam * model.P,
@@ -542,14 +495,7 @@ def model_to_dict(model: SarnModel) -> dict:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "active_head": model.active_head,
-        "spec": {
-            "height": model.spec.height,
-            "width": model.spec.width,
-            "channels": model.spec.channels,
-            "kernel_size": model.spec.kernel_size,
-            "out_channels": model.spec.out_channels,
-            "rank": model.spec.rank,
-        },
+        "spec": asdict(model.spec),
         "hyper": {
             "dropout_rate": model.dropout_rate,
             "reg_lambda": model.reg_lambda,

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from ummaso import cli
 from ummaso import pipeline as pl
 from ummaso.sarn import network as nw
+
+DATA_DIR = Path(__file__).parent / "data"
 
 FAST_CONFIG = {
     "umap": {"k": 8, "epochs": 30},
@@ -119,6 +122,20 @@ class TestFit:
         )
         assert code == 2 and stdout == ""
         assert "sarn.kernel_size" in err and "umap.out_dim" in err
+        assert not out.exists()
+
+    def test_top_k_above_feature_count_exits_2_before_fitting(
+        self, workspace, tmp_path, capsys
+    ):
+        _, data_csv, _, _ = workspace  # five feature columns
+        config = tmp_path / "wide_k.json"
+        config.write_text(json.dumps({"lasso": {"selection": {"strategy": "top_k", "k": 7}}}))
+        out = tmp_path / "o"
+        code, stdout, err = run_cli(
+            capsys, "fit", "--data", data_csv, "--out", str(out), "--config", str(config)
+        )
+        assert code == 2 and stdout == ""
+        assert "'lasso.selection.k'" in err and "stage 'lasso'" not in err
         assert not out.exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
@@ -268,6 +285,29 @@ class TestReduceSelect:
                 seen_never = True
             else:
                 assert not seen_never  # active features precede "never" ones
+
+    def test_ranking_files_match_stored_bytes(self, tmp_path, capsys):
+        # the stored files were written before select and fit shared one
+        # ranking writer; "flat" is constant, so its entry lambda is "never"
+        data = DATA_DIR / "lasso_select.csv"
+        selection = {"strategy": "top_k", "k": 3}
+        select_cfg = tmp_path / "select.json"
+        select_cfg.write_text(json.dumps({"lasso": {"selection": selection}}))
+        fit_cfg = tmp_path / "fit.json"
+        fit_cfg.write_text(json.dumps({
+            "feature_mode": "selected_only", "lasso": {"selection": selection},
+            "sarn": {"epochs": 1},
+        }))
+        sel, fit = tmp_path / "sel", tmp_path / "fit"
+        assert cli.main(["select", "--data", str(data), "--out", str(sel),
+                         "--config", str(select_cfg)]) == 0
+        assert cli.main(["fit", "--data", str(data), "--out", str(fit), "--seed", "4",
+                         "--config", str(fit_cfg)]) == 0
+        capsys.readouterr()
+        expected = (DATA_DIR / "lasso_select_ranking.json").read_bytes()
+        assert (sel / "ranking.json").read_bytes() == expected
+        expected = (DATA_DIR / "lasso_select_selection.json").read_bytes()
+        assert (fit / "selection.json").read_bytes() == expected
 
 
 class TestUsability:

@@ -92,6 +92,18 @@ class TestTruncatedSvd:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
+    def test_sign_convention(self):
+        rng = np.random.default_rng(15)
+        for shape, r in [((6, 4), 3), ((4, 6), 4), ((9, 2), 1)]:
+            M = rng.normal(size=shape)
+            U, s, Vt = cv.truncated_svd(M, r)
+            pivots = U[np.argmax(np.abs(U), axis=0), np.arange(r)]
+            assert np.all(pivots > 0.0)
+            U_neg, s_neg, Vt_neg = cv.truncated_svd(-M, r)
+            np.testing.assert_allclose(U_neg, U, atol=1e-12)
+            np.testing.assert_allclose(s_neg, s, atol=1e-12)
+            np.testing.assert_allclose(Vt_neg, -Vt, atol=1e-12)
+
     def test_rank_bounds(self):
         with pytest.raises(ValueError):
             cv.truncated_svd(np.zeros((3, 3)), 0)
@@ -187,3 +199,43 @@ class TestConvSpec:
     def test_width_must_fit_kernel(self):
         with pytest.raises(ValueError):
             cv.ConvSpec(height=1, width=2, channels=1, kernel_size=3, out_channels=4, rank=2)
+
+
+class TestFactorizedBackward:
+    def test_matches_finite_differences_on_multichannel_maps(self):
+        # O is linear in each of P, Q and S, so central differences of
+        # L = sum(W * O) are exact up to round-off even with a large step
+        rng = np.random.default_rng(16)
+        for lead, m, s, q1 in [((2,), 2, 2, 2), ((3,), 3, 3, 2), ((2, 2), 3, 2, 3)]:
+            n = 4
+            I = rng.normal(size=lead + (s + 2, s + 3, m))
+            P = rng.normal(size=(m, m))
+            Q = rng.normal(size=(m, s, s, q1))
+            S = rng.normal(size=(m, q1, n))
+            O, T = cv.factorized_forward(I, P, Q, S)
+            W = rng.normal(size=O.shape)
+            grads = cv.factorized_backward(I, T, P, Q, S, W)
+            params = (P, Q, S)
+            h = 1e-3
+            for which, (param, grad) in enumerate(zip(params, grads)):
+                assert grad.shape == param.shape
+                flat = param.reshape(-1)
+                for idx in range(flat.size):
+                    orig = flat[idx]
+                    flat[idx] = orig + h
+                    up = np.sum(W * cv.factorized_forward(I, *params)[0])
+                    flat[idx] = orig - h
+                    down = np.sum(W * cv.factorized_forward(I, *params)[0])
+                    flat[idx] = orig
+                    fd = (up - down) / (2 * h)
+                    err = abs(grad.reshape(-1)[idx] - fd)
+                    assert err <= 1e-6 * max(1.0, abs(fd)), f"d_{'PQS'[which]}[{idx}]"
+
+    def test_forward_over_batch_axes_matches_per_map(self):
+        rng = np.random.default_rng(17)
+        I = rng.normal(size=(3, 5, 6, 2))
+        K = rng.normal(size=(3, 3, 2, 4))
+        fk = cv.FactorizedKernel.from_kernel(K, np.linalg.qr(rng.normal(size=(2, 2)))[0], 4)
+        O, _ = cv.factorized_forward(I, fk.P, fk.Q, fk.S)
+        for b in range(3):
+            np.testing.assert_allclose(O[b], cv.sparse_forward(I[b], fk), atol=1e-12)

@@ -177,6 +177,10 @@ class TestFailFast:
                 "lasso.selection.k",
             ),
             (dict(sarn=pl.SarnSettings(rank=9)), "sarn: rank"),
+            (
+                dict(lasso=pl.LassoSettings(selection=SelectionStrategy("top_k", k=9))),
+                "'lasso.selection.k' 9 exceeds the feature count 5",
+            ),
         ],
     )
     def test_rejected_before_the_first_stage(self, stage_calls, overrides, message):
@@ -184,7 +188,7 @@ class TestFailFast:
         with pytest.raises(ConfigError, match=message) as info:
             pl.run(data, quick_config(**overrides))
         assert stage_calls == []
-        if "rank" not in message:
+        if message in ("umap.out_dim", "lasso.selection.k"):  # the width checks
             assert "'sarn.kernel_size'" in str(info.value)
 
     def test_narrow_lasso_selection_fails_in_features_stage(self, stage_calls):

@@ -58,42 +58,58 @@ class TestStableSoftmax:
         assert np.all(probs > 0)
 
 
+def sparse_attention_oracle(H, model):
+    """Per-sample attention: score, mask, softmax, gate (evaluation mode)."""
+    G = np.concatenate([H, np.broadcast_to(model.h_t, H.shape)], axis=1)
+    pre = (G @ model.w_pw) * model.s_vec
+    pre[model.mask_len :] = -np.inf
+    weights = nw.stable_softmax(pre)
+    return weights[:, None] * H, weights
+
+
+def output_head_oracle(gated, w_out, v_out):
+    """Per-sample output head: flatten, tanh layer, linear layer, softmax."""
+    return nw.stable_softmax(np.tanh(gated.reshape(-1) @ w_out) @ v_out)
+
+
+def attention_weights(model, seed, **kwargs):
+    X = np.random.default_rng(seed).normal(size=(2, model.spec.width))
+    return nw._forward(model, X, **kwargs)["weights"]
+
+
 class TestSparseAttention:
     def test_single_unmasked_position_takes_all_weight(self):
         model = tiny_model(mask_len=1)
-        rng = np.random.default_rng(2)
-        H = rng.normal(size=(model.spec.positions, model.spec.out_channels))
-        gated, weights = nw.sparse_attention(H, model)
-        assert weights[0] == 1.0
-        np.testing.assert_array_equal(weights[1:], 0.0)
-        np.testing.assert_array_equal(gated[1:], 0.0)
+        cache = nw._forward(model, np.random.default_rng(2).normal(size=(2, 8)))
+        np.testing.assert_array_equal(cache["weights"][:, 0], 1.0)
+        np.testing.assert_array_equal(cache["weights"][:, 1:], 0.0)
+        np.testing.assert_array_equal(cache["gated"][:, 1:], 0.0)
 
     def test_uniform_scores_give_uniform_weights(self):
         model = tiny_model()
         model.w_pw[:] = 0.0  # every position scores 0
-        rng = np.random.default_rng(3)
-        H = rng.normal(size=(model.spec.positions, model.spec.out_channels))
-        _, weights = nw.sparse_attention(H, model)
+        weights = attention_weights(model, 3)
         np.testing.assert_allclose(weights, 1.0 / model.spec.positions, atol=1e-12)
 
     def test_masked_positions_get_exactly_zero(self):
         model = tiny_model(mask_len=3)
-        rng = np.random.default_rng(4)
-        H = rng.normal(size=(model.spec.positions, model.spec.out_channels))
-        _, weights = nw.sparse_attention(H, model)
-        np.testing.assert_array_equal(weights[3:], 0.0)
-        assert weights[:3].sum() == pytest.approx(1.0)
+        weights = attention_weights(model, 4)
+        np.testing.assert_array_equal(weights[:, 3:], 0.0)
+        np.testing.assert_allclose(weights[:, :3].sum(axis=1), 1.0)
 
     def test_dropout_seeded_and_training_only(self):
         model = tiny_model(dropout=0.5)
         rng = np.random.default_rng(5)
-        H = rng.normal(size=(model.spec.positions, model.spec.out_channels))
-        _, eval_weights = nw.sparse_attention(H, model, training=False, seed=1)
-        _, again = nw.sparse_attention(H, model, training=False, seed=2)
-        np.testing.assert_array_equal(eval_weights, again)
-        _, train_a = nw.sparse_attention(H, model, training=True, seed=9)
-        _, train_b = nw.sparse_attention(H, model, training=True, seed=9)
-        np.testing.assert_array_equal(train_a, train_b)
+        mask_a, mask_b = rng.random((2, 2, model.spec.positions)) < 0.5
+        eval_a = attention_weights(model, 6, drop_mask=mask_a)
+        eval_b = attention_weights(model, 6, drop_mask=mask_b)
+        np.testing.assert_array_equal(eval_a, eval_b)
+        train_a = attention_weights(model, 6, training=True, drop_mask=mask_a)
+        again = attention_weights(model, 6, training=True, drop_mask=mask_a)
+        np.testing.assert_array_equal(train_a, again)
+        assert not np.array_equal(train_a, eval_a)
+        with pytest.raises(ValueError, match="dropout mask"):
+            attention_weights(model, 6, training=True)
 
     def test_zero_mask_len_rejected(self):
         with pytest.raises(ValueError):
@@ -107,33 +123,29 @@ class TestForwardConsistency:
         X = rng.normal(size=(3, 8))
         cache = nw._forward(model, X)
         for r in range(3):
-            gated, weights = nw.sparse_attention(cache["H"][r], model)
+            gated, weights = sparse_attention_oracle(cache["H"][r], model)
             np.testing.assert_array_equal(weights, cache["weights"][r])
             np.testing.assert_array_equal(gated, cache["gated"][r])
-            probs = nw.output_head(gated, model.w_out, model.v_out)
+            probs = output_head_oracle(gated, model.w_out, model.v_out)
             np.testing.assert_allclose(probs, cache["probs"][r], atol=1e-15)
 
 
 class TestOutputHead:
     def test_zero_final_layer_gives_uniform(self):
         model = tiny_model()
-        rng = np.random.default_rng(6)
-        gated = rng.normal(size=(model.spec.positions, model.spec.out_channels))
-        probs = nw.output_head(gated, model.w_out, np.zeros_like(model.v_out))
+        model.v_out[:] = 0.0
+        probs = nw._forward(model, np.random.default_rng(6).normal(size=(2, 8)))["probs"]
         np.testing.assert_allclose(probs, 1.0 / 3.0, atol=1e-12)
 
     def test_probabilities_normalize(self):
         model = tiny_model()
-        rng = np.random.default_rng(7)
-        gated = rng.normal(size=(model.spec.positions, model.spec.out_channels))
-        probs = nw.output_head(gated, model.w_out, model.v_out)
-        assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+        probs = nw._forward(model, np.random.default_rng(7).normal(size=(4, 8)))["probs"]
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(probs > 0)
 
     def test_shape_mismatch(self):
-        model = tiny_model()
-        with pytest.raises(ValueError):
-            nw.output_head(np.zeros(3), model.w_out, model.v_out)
+        with pytest.raises(ValueError, match="features"):
+            nw._forward(tiny_model(), np.zeros((2, 3)))
 
 
 class TestDivergences:
