@@ -85,21 +85,15 @@ def _embed_new(
     """Out-of-sample coordinates: a weighted average of the k nearest training
     embeddings, weighted by the stored per-point rho/sigma memberships. A point
     coinciding exactly with a training point copies that point's coordinates."""
-    k = graph.k
-    out = np.zeros((X_std.shape[0], embedding.coordinates.shape[1]))
-    for r, row in enumerate(X_std):
-        dists = np.sqrt(np.maximum(np.sum((train_points - row) ** 2, axis=1), 0.0))
-        nearest = np.argsort(dists, kind="stable")[:k]
-        weights = um.directed_weight(
-            dists[nearest], graph.rho[nearest], graph.sigma[nearest]
-        )
-        total = weights.sum()
-        # coincident point, or so remote that every membership underflowed:
-        # fall back to the nearest training embedding
-        if dists[nearest[0]] == 0.0 or total <= 0.0:
-            out[r] = embedding.coordinates[nearest[0]]
-            continue
-        out[r] = weights @ embedding.coordinates[nearest] / total
+    nearest, dists = um.build_knn(train_points, graph.k, queries=X_std)
+    coords = embedding.coordinates
+    weights = um.directed_weight(dists, graph.rho[nearest], graph.sigma[nearest])
+    total = weights.sum(axis=1)
+    # coincident point, or so remote that every membership underflowed:
+    # fall back to the nearest training embedding
+    copy = (dists[:, 0] == 0.0) | (total <= 0.0)
+    out = (weights[:, None, :] @ coords[nearest])[:, 0] / np.where(copy, 1.0, total)[:, None]
+    out[copy] = coords[nearest[copy, 0]]
     return out
 
 

@@ -43,6 +43,7 @@ except ImportError:  # pragma: no cover - numba is a declared dependency
 
 
 GRAD_CLIP = 4.0  # per-coordinate bound on a single gradient step
+KNN_BLOCK_ELEMENTS = 1 << 22  # float64 differences held per build_knn block
 
 
 @dataclass(frozen=True)
@@ -82,9 +83,10 @@ class NeighborGraph:
     """k-NN structure plus the calibrated fuzzy edge weights.
 
     Edges are stored as parallel arrays (edge_i[t] < edge_j[t]); every weight
-    lies in (0, 1]. sigma_converged marks points whose bandwidth satisfied the
-    membership equation instead of being clamped; rho_degenerate marks points
-    whose neighborhood contained no positive distance (duplicate clusters).
+    lies in [0, 1] (a clamped sigma can underflow a directed weight to 0; such
+    an edge is kept). sigma_converged marks points whose bandwidth satisfied
+    the membership equation instead of being clamped; rho_degenerate marks
+    points whose neighborhood contained no positive distance (duplicates).
     """
 
     neighbor_indices: np.ndarray
@@ -105,12 +107,6 @@ class NeighborGraph:
     def k(self) -> int:
         return self.neighbor_indices.shape[1]
 
-    def edges(self) -> list[tuple[int, int, float]]:
-        return [
-            (int(i), int(j), float(v))
-            for i, j, v in zip(self.edge_i, self.edge_j, self.edge_v)
-        ]
-
 
 @dataclass(frozen=True)
 class Embedding:
@@ -121,23 +117,37 @@ class Embedding:
     epoch_losses: np.ndarray
 
 
-def build_knn(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def build_knn(points, k: int, queries=None) -> tuple[np.ndarray, np.ndarray]:
     """Exact brute-force k nearest neighbors under the Euclidean metric.
 
-    Row i lists the k closest points to x_i excluding i itself, distances
-    ascending; ties are broken by point index.
+    Row r lists the k points closest to queries[r] (to points[r], leaving r
+    itself out, when queries is None) in stable-argsort order: distances
+    ascending, ties by point index. Distances sum explicit differences, so
+    duplicates are exactly 0 apart and no row depends on the other queries.
+    Queries run in blocks of about KNN_BLOCK_ELEMENTS differences.
     """
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    if k >= n:
-        raise ValueError(f"k ({k}) must be smaller than the number of points ({n})")
-    sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
-    dists = np.sqrt(d2)
-    np.fill_diagonal(dists, np.inf)
-    order = np.argsort(dists, axis=1, kind="stable")[:, :k]
-    return order, np.take_along_axis(dists, order, axis=1)
+    P = np.asarray(points, dtype=np.float64)
+    Q = P if queries is None else np.asarray(queries, dtype=np.float64)
+    if k >= len(P):
+        raise ValueError(f"k ({k}) must be smaller than the number of points ({len(P)})")
+    indices = np.empty((len(Q), k), dtype=np.int64)
+    distances = np.empty((len(Q), k))
+    step = max(1, KNN_BLOCK_ELEMENTS // max(1, P.size))
+    for start in range(0, len(Q), step):
+        rows = slice(start, start + step)
+        d = np.sqrt(np.maximum(np.sum((Q[rows, None, :] - P) ** 2, axis=-1), 0.0))
+        if queries is None:
+            d[np.arange(len(d)), np.arange(start, start + len(d))] = np.inf
+        cand = np.argpartition(d, k - 1, axis=1)[:, :k]
+        cand_d = np.take_along_axis(d, cand, axis=1)
+        idx = np.take_along_axis(cand, np.lexsort((cand, cand_d), axis=1), axis=1)
+        # another point at the k-th distance may outrank a candidate by index
+        tied = np.count_nonzero(d <= cand_d.max(axis=1)[:, None], axis=1) != k
+        if tied.any():
+            idx[tied] = np.argsort(d[tied], axis=1, kind="stable")[:, :k]
+        indices[rows] = idx
+        distances[rows] = np.take_along_axis(d, idx, axis=1)
+    return indices, distances
 
 
 def compute_rho(distances: np.ndarray) -> np.ndarray:
@@ -422,30 +432,25 @@ def build_graph(X: np.ndarray, config: UmapConfig) -> NeighborGraph:
     indices, distances = build_knn(X, config.k)
     n = indices.shape[0]
     rho = compute_rho(distances)
-    row_has_entries = distances.shape[1] > 0
-    rho_degenerate = (rho == 0.0) if row_has_entries else np.zeros(n, dtype=bool)
+    rho_degenerate = rho == 0.0
     sigma = np.empty(n)
     converged = np.empty(n, dtype=bool)
     for i in range(n):
         sigma[i], converged[i] = solve_sigma(
             distances[i], rho[i], config.k, config.sigma_tol, config.sigma_max_iters
         )
-    directed: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        weights = directed_weight(distances[i], rho[i], sigma[i])
-        for idx in range(config.k):
-            directed[(i, int(indices[i, idx]))] = float(weights[idx])
-    combined: dict[tuple[int, int], float] = {}
-    for (i, j), v_ji in directed.items():
-        key = (i, j) if i < j else (j, i)
-        if key in combined:
-            continue
-        v_ij = directed.get((j, i), 0.0)
-        combined[key] = float(symmetrize(v_ji, v_ij))
-    keys = sorted(combined)
-    edge_i = np.array([p[0] for p in keys], dtype=np.int64)
-    edge_j = np.array([p[1] for p in keys], dtype=np.int64)
-    edge_v = np.array([combined[p] for p in keys], dtype=np.float64)
+    weights = directed_weight(distances, rho[:, None], sigma[:, None]).ravel()
+    rows = np.repeat(np.arange(n), config.k)
+    cols = indices.ravel()
+    # one undirected pair per key; scatter each direction's weight (0 if absent)
+    keys, pair = np.unique(
+        np.minimum(rows, cols) * n + np.maximum(rows, cols), return_inverse=True
+    )
+    up, down = np.zeros(keys.size), np.zeros(keys.size)
+    up[pair[rows < cols]] = weights[rows < cols]
+    down[pair[rows > cols]] = weights[rows > cols]
+    edge_i, edge_j = np.divmod(keys, n)
+    edge_v = symmetrize(up, down)
     return NeighborGraph(
         neighbor_indices=indices,
         neighbor_distances=distances,
@@ -483,4 +488,5 @@ def embedding_to_csv(coords: np.ndarray, labels: np.ndarray, path: str) -> None:
 
 def graph_edges_json(graph: NeighborGraph) -> list[dict]:
     """Debug export: the symmetrized edge list as {i, j, v} records."""
-    return [{"i": i, "j": j, "v": v} for i, j, v in graph.edges()]
+    columns = (graph.edge_i.tolist(), graph.edge_j.tolist(), graph.edge_v.tolist())
+    return [{"i": i, "j": j, "v": v} for i, j, v in zip(*columns)]

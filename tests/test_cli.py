@@ -261,10 +261,11 @@ class TestEvaluate:
 
 class TestReduceSelect:
     def test_reduce_emits_three_column_embedding(self, workspace, tmp_path, capsys):
-        _, data_csv, _, _ = workspace
+        _, data_csv, _, config_path = workspace
         out = str(tmp_path / "embedding.csv")
         code, stdout, _ = run_cli(
-            capsys, "reduce", "--data", data_csv, "--out", out, "--seed", "3"
+            capsys, "reduce", "--data", data_csv, "--out", out, "--seed", "3",
+            "--config", config_path,
         )
         assert code == 0
         with open(out) as fh:

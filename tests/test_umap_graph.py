@@ -1,9 +1,72 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ummaso import dataset as ds
 from ummaso import umap as um
+
+
+def oracle_knn(points, k, queries=None):
+    """Per query row: explicit differences, then a stable argsort of all points."""
+    Q = points if queries is None else queries
+    indices = np.empty((len(Q), k), dtype=np.int64)
+    distances = np.empty((len(Q), k))
+    for r, row in enumerate(Q):
+        dists = np.sqrt(np.maximum(np.sum((points - row) ** 2, axis=1), 0.0))
+        if queries is None:
+            dists[r] = np.inf
+        indices[r] = np.argsort(dists, kind="stable")[:k]
+        distances[r] = dists[indices[r]]
+    return indices, distances
+
+
+def oracle_edges(graph):
+    """Symmetrized edges built through two dicts, keyed by directed and by
+    undirected pair."""
+    directed = {}
+    for i in range(graph.n_points):
+        weights = um.directed_weight(graph.neighbor_distances[i], graph.rho[i], graph.sigma[i])
+        for idx in range(graph.k):
+            directed[(i, int(graph.neighbor_indices[i, idx]))] = float(weights[idx])
+    combined = {}
+    for (i, j), v_ji in directed.items():
+        key = (i, j) if i < j else (j, i)
+        if key not in combined:
+            combined[key] = float(um.symmetrize(v_ji, directed.get((j, i), 0.0)))
+    keys = sorted(combined)
+    return (
+        np.array([p[0] for p in keys], dtype=np.int64),
+        np.array([p[1] for p in keys], dtype=np.int64),
+        np.array([combined[p] for p in keys], dtype=np.float64),
+    )
+
+
+def underflow_points():
+    """A pair and a tight run whose clamped sigmas underflow some weights to 0."""
+    return np.vstack(
+        [np.zeros((4, 2)), [[5, 0], [6, 0]], [[6.1 + 0.1 * i, 0] for i in range(4)]]
+    )
+
+
+def oversampled_soil(seed=7):
+    config = ds.SynthConfig(
+        samples_per_class=[210, 60, 30],
+        class_centers=np.array(
+            [
+                [40.0, 20.0, 15.0, 5.2, 0.35],
+                [75.0, 45.0, 35.0, 6.4, 0.7],
+                [110.0, 70.0, 60.0, 7.6, 1.2],
+            ]
+        ),
+        noise_std=6.0,
+        seed=seed,
+    )
+    data = ds.synth_generate(config, ["N", "P", "K", "pH", "EC"], ["a", "b", "c"])
+    standardized, _ = ds.standardize(data)
+    return ds.oversample(standardized, 3).features
 
 
 class TestBuildKnn:
@@ -33,6 +96,52 @@ class TestBuildKnn:
             full[i] = np.inf
             expect = np.sort(full)[:6]
             np.testing.assert_allclose(distances[i], expect, atol=1e-12)
+
+
+def knn_cases():
+    rng = np.random.default_rng(8)
+    grid = np.arange(30, dtype=np.float64)[:, None]  # every interior k=3 row ties
+    dups = rng.normal(size=(40, 5))
+    dups = np.vstack([dups, dups[::3], dups[:4]])
+    plane = rng.integers(0, 4, size=(60, 2)).astype(np.float64)  # ties everywhere
+    cases = [
+        ("line", grid, 3, None),
+        ("line_queries", grid, 3, grid[::-1] + 0.5),
+        ("no_queries", grid, 3, grid[:0]),
+        ("duplicates", dups, 6, None),
+        ("duplicate_queries", dups, 6, dups[5:15]),
+        ("integer_plane", plane, 7, None),
+        ("integer_plane_queries", plane, 7, rng.integers(0, 4, size=(25, 2)) * 1.0),
+    ] + [
+        (f"d{d}", rng.normal(size=(50, d)), 9, rng.normal(size=(20, d)))
+        for d in (5, 8, 9, 40)
+    ]
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+class TestBuildKnnOracle:
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    @pytest.mark.parametrize("points,k,queries", knn_cases())
+    def test_bit_equal_to_stable_argsort(self, monkeypatch, block, points, k, queries):
+        if block is not None:  # rows per block; the default holds every row
+            monkeypatch.setattr(um, "KNN_BLOCK_ELEMENTS", block * points.size)
+        indices, distances = um.build_knn(points, k, queries=queries)
+        expect_i, expect_d = oracle_knn(points, k, queries)
+        np.testing.assert_array_equal(indices, expect_i)
+        assert distances.tobytes() == expect_d.tobytes()
+        if queries is None:
+            assert not (indices == np.arange(len(points))[:, None]).any()
+
+    def test_standardized_oversampled_duplicates_are_exactly_zero(self):
+        X = oversampled_soil()
+        _, group = np.unique(X, axis=0, return_inverse=True)
+        group = group.ravel()
+        assert np.bincount(group).max() > 1
+        indices, distances = um.build_knn(X, 10)
+        same = group[indices] == group[:, None]
+        assert same.sum() > 100
+        assert (distances[same] == 0.0).all()
+        assert (distances[~same] > 0.0).all()
 
 
 class TestComputeRho:
@@ -102,6 +211,42 @@ class TestWeights:
 
 
 class TestBuildGraph:
+    def test_clamped_sigma_keeps_zero_weight_edges(self):
+        graph = um.build_graph(underflow_points(), um.UmapConfig(k=5))
+        assert graph.edge_i.size == 29
+        assert np.count_nonzero(graph.edge_v == 0.0) == 4
+
+    @pytest.mark.parametrize(
+        "points,k",
+        [
+            (np.random.default_rng(6).normal(size=(70, 4)), 8),
+            (np.vstack([np.zeros((4, 2)), np.ones((4, 2)) * 9]), 3),
+            (underflow_points(), 5),
+            (oversampled_soil(), 10),
+        ],
+        ids=["random", "duplicates", "underflow", "oversampled"],
+    )
+    def test_edges_bit_equal_to_dict_symmetrization(self, points, k):
+        graph = um.build_graph(points, um.UmapConfig(k=k))
+        edge_i, edge_j, edge_v = oracle_edges(graph)
+        np.testing.assert_array_equal(graph.edge_i, edge_i)
+        np.testing.assert_array_equal(graph.edge_j, edge_j)
+        assert graph.edge_i.dtype == graph.edge_j.dtype == np.int64
+        assert graph.edge_v.tobytes() == edge_v.tobytes()
+
+    def test_edges_json_matches_tuple_records(self):
+        graph = um.build_graph(underflow_points(), um.UmapConfig(k=5))
+        records = [
+            (int(i), int(j), float(v))
+            for i, j, v in zip(graph.edge_i, graph.edge_j, graph.edge_v)
+        ]
+        expect = [{"i": i, "j": j, "v": v} for i, j, v in records]
+        got = um.graph_edges_json(graph)
+        assert json.dumps(got, sort_keys=True, indent=1) == json.dumps(
+            expect, sort_keys=True, indent=1
+        )
+        assert [type(x) for r in got for x in r.values()] == [int, int, float] * len(got)
+
     def test_edge_weights_in_unit_interval(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(60, 4))
