@@ -21,6 +21,46 @@ def single_edge_graph(weight=1.0):
     )
 
 
+def star_graph(hub, n_points):
+    # hub joins every other point: it is edge_j for the points below it and
+    # edge_i for the points above it
+    leaves = np.delete(np.arange(n_points), hub)
+    return np.minimum(leaves, hub), np.maximum(leaves, hub)
+
+
+def sequential_layout_epoch(coords, edge_i, edge_j, edge_v, order, negatives, lr, a, b, eps):
+    """Reference: the per-edge loop, each update read from the latest coordinates."""
+    dim = coords.shape[1]
+    for t in range(order.shape[0]):
+        eidx = order[t]
+        i, j, v = edge_i[eidx], edge_j[eidx], edge_v[eidx]
+        d2 = 0.0
+        for c in range(dim):
+            diff = coords[i, c] - coords[j, c]
+            d2 += diff * diff
+        if d2 > 0.0:
+            coef = (-2.0 * a * b * d2 ** (b - 1.0)) / (1.0 + a * d2**b) * v
+            for c in range(dim):
+                g = min(max(coef * (coords[i, c] - coords[j, c]), -um.GRAD_CLIP), um.GRAD_CLIP)
+                coords[i, c] += lr * g
+                coords[j, c] -= lr * g
+        for other in negatives[t]:
+            if other == i:
+                continue
+            d2n = 0.0
+            for c in range(dim):
+                diff = coords[i, c] - coords[other, c]
+                d2n += diff * diff
+            if d2n > 0.0:
+                coefn = 2.0 * b / ((eps + d2n) * (1.0 + a * d2n**b))
+                for c in range(dim):
+                    g = min(max(coefn * (coords[i, c] - coords[other, c]), -um.GRAD_CLIP), um.GRAD_CLIP)
+                    coords[i, c] += lr * g
+        if not (np.isfinite(coords[i]).all() and np.isfinite(coords[j]).all()):
+            return eidx
+    return -1
+
+
 def two_clique_graph():
     # nodes {0,1} and {2,3} form two disconnected unit-weight pairs
     return um.NeighborGraph(
@@ -213,7 +253,7 @@ class TestOptimizeLayout:
             um.optimize_layout(graph, init, um.UmapConfig(k=2, epochs=1))
 
     def test_kernel_step_matches_gradient_ops(self):
-        # one edge, one fixed negative sample: the compiled epoch must equal
+        # one edge, one fixed negative sample: the layout epoch must equal
         # manually applying the two gradient ops with clipping
         graph = single_edge_graph(weight=0.7)
         coords = np.array([[0.0, 0.5], [2.0, -0.5], [4.0, 4.0]])
@@ -242,28 +282,84 @@ class TestOptimizeLayout:
         np.testing.assert_allclose(got, expected, atol=1e-15)
 
 
-class TestNumbaFallback:
-    def test_pure_python_path_matches_jitted_kernel(self, monkeypatch):
-        import importlib
-        import sys
+class TestChunkedEpoch:
+    def random_edges(self, seed):
+        rng = np.random.default_rng(seed)
+        graph = um.build_graph(rng.normal(size=(30, 3)), um.UmapConfig(k=4))
+        return rng, graph, rng.normal(size=(30, 2)) * 2.0
 
-        import ummaso.umap as um_mod
+    def draw(self, rng, graph):
+        order = rng.permutation(graph.edge_i.size)
+        negatives = rng.integers(0, graph.n_points, size=(order.size, 3))
+        negatives[::4, 1] = graph.edge_i[order[::4]]  # samples equal to i
+        return order, negatives
 
-        graph = single_edge_graph(weight=0.8)
-        init = np.array([[0.0, 1.0], [2.5, -1.0]])
-        config = um.UmapConfig(
-            k=2, out_dim=2, epochs=4, negative_samples=1, seed=17
-        )
-        jitted = um_mod.optimize_layout(graph, init, config).coordinates
-        try:
-            monkeypatch.setitem(sys.modules, "numba", None)
-            fallback = importlib.reload(um_mod)
-            assert not fallback.HAVE_NUMBA
-            plain = fallback.optimize_layout(graph, init, config).coordinates
-        finally:
-            monkeypatch.undo()
-            importlib.reload(um_mod)
-        np.testing.assert_allclose(plain, jitted, rtol=0, atol=1e-12)
+    def run_both(self, coords, graph, order, negatives, lr, a, b):
+        args = (graph.edge_i, graph.edge_j, graph.edge_v, order, negatives, lr, a, b, 1e-3)
+        got, want = coords.copy(), coords.copy()
+        assert um._layout_epoch(got, *args) == -1
+        assert sequential_layout_epoch(want, *args) == -1
+        return got, want
+
+    def test_chunk_of_one_is_bit_equal_to_sequential_oracle(self, monkeypatch):
+        monkeypatch.setattr(um, "LAYOUT_CHUNK", 1)
+        rng, graph, coords = self.random_edges(seed=31)
+        assert graph.edge_i.size > 40
+        for epoch in range(5):
+            order, negatives = self.draw(rng, graph)
+            got, want = self.run_both(coords, graph, order, negatives, 1.0 - epoch / 5, 1.0, 1.0)
+            np.testing.assert_array_equal(got, want)
+            coords = got
+
+    def test_chunk_of_one_matches_oracle_at_fitted_curve(self, monkeypatch):
+        # array pow and scalar pow may round differently when b != 1
+        monkeypatch.setattr(um, "LAYOUT_CHUNK", 1)
+        rng, graph, coords = self.random_edges(seed=32)
+        order, negatives = self.draw(rng, graph)
+        got, want = self.run_both(coords, graph, order, negatives, 1.0, 1.58, 0.9)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert not np.array_equal(got, coords)
+
+    def test_default_chunk_scatters_every_hub_step(self):
+        # the hub is an endpoint of every edge in the one chunk, so each of its
+        # attraction and repulsion steps must accumulate, none overwrite another
+        edge_i, edge_j = star_graph(hub=5, n_points=40)
+        assert edge_i.size <= um.LAYOUT_CHUNK
+        rng = np.random.default_rng(33)
+        edge_v = rng.uniform(0.2, 1.0, size=edge_i.size)
+        order = rng.permutation(edge_i.size)
+        negatives = rng.integers(0, 40, size=(edge_i.size, 2))
+        coords = rng.normal(size=(40, 2)) * 2.0
+        lr, a, b, eps = 0.1, 1.0, 1.0, 1e-3
+
+        def clipped(g):
+            return lr * np.clip(g, -um.GRAD_CLIP, um.GRAD_CLIP)
+
+        want = coords.copy()
+        for e in order:  # attraction, all read from the chunk-start coordinates
+            g = clipped(um.attractive_gradient(coords[edge_i[e]], coords[edge_j[e]], edge_v[e], a, b))
+            want[edge_i[e]] += g
+            want[edge_j[e]] -= g
+        for column in negatives.T:  # repulsion, one sample column at a time
+            start = want.copy()
+            for e, other in zip(order, column):
+                want[edge_i[e]] += clipped(
+                    um.repulsive_gradient(start[edge_i[e]], start[other], 0.0, a, b, eps)
+                )
+        got = coords.copy()
+        assert um._layout_epoch(got, edge_i, edge_j, edge_v, order, negatives, lr, a, b, eps) == -1
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_nan_at_one_point_names_an_edge_touching_it(self):
+        rng = np.random.default_rng(34)
+        graph = um.build_graph(rng.normal(size=(200, 3)), um.UmapConfig(k=10))
+        assert graph.edge_i.size > 2 * um.LAYOUT_CHUNK
+        init = rng.normal(size=(200, 2))
+        init[17] = [np.nan, 0.0]
+        with pytest.raises(NumericalError, match=r"epoch 0, edge \d+") as excinfo:
+            um.optimize_layout(graph, init, um.UmapConfig(k=10, epochs=3, seed=2))
+        edge = int(str(excinfo.value).rsplit(" ", 1)[1])
+        assert 17 in (graph.edge_i[edge], graph.edge_j[edge])
 
 
 class TestEmbed:
