@@ -9,7 +9,6 @@ diagnostics go to stderr (verbosity via UMMASO_LOG in {quiet, info, debug}).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -55,42 +54,6 @@ def _load_json_file(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config root must be an object")
     return doc
-
-
-def _read_feature_csv(path: str, feature_names: list[str]) -> np.ndarray:
-    """Read the named feature columns from a CSV; extra columns are ignored."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataFormatError(f"{path}: empty file, missing header row")
-        header = [h.strip() for h in header]
-        column_of = {}
-        for name in feature_names:
-            if name not in header:
-                raise DataFormatError(f"{path}: missing feature column '{name}'")
-            column_of[name] = header.index(name)
-        rows = []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
-                )
-            values = []
-            for name in feature_names:
-                cell = row[column_of[name]]
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: non-numeric value '{cell}' at row {row_no}, "
-                        f"column {column_of[name] + 1}"
-                    ) from None
-                values.append(value)
-            rows.append(values)
-    if not rows:
-        raise DataFormatError(f"{path}: zero data rows")
-    return np.asarray(rows, dtype=np.float64)
 
 
 def _metrics_line(report: mt.MetricsReport) -> str:
@@ -160,38 +123,36 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     artifacts = pl.load_artifacts(args.artifacts)
-    X = _read_feature_csv(args.data, artifacts.feature_names)
+    header, rows = ds.read_table(args.data)  # extra columns are ignored
+    X = ds.float_columns(args.data, header, rows, artifacts.feature_names)
+    if not rows:
+        raise DataFormatError(f"{args.data}: zero data rows")
     feats = pl.transform_new(artifacts, X)
     probs, labels = nw.predict(artifacts.model, feats)
-    n_classes = probs.shape[1]
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        header = ["row_index"] + [f"p_class_{c}" for c in range(n_classes)]
-        fh.write(",".join(header + ["predicted_label"]) + "\n")
-        for r in range(probs.shape[0]):
-            cells = [str(r)] + [repr(float(p)) for p in probs[r]] + [str(int(labels[r]))]
-            fh.write(",".join(cells) + "\n")
+    columns = ["row_index", *(f"p_class_{c}" for c in range(probs.shape[1])), "predicted_label"]
+    rows = ([r, *p, label] for r, (p, label) in enumerate(zip(probs.tolist(), labels.tolist())))
+    ds.write_table(args.out, columns, rows)
     print(f"rows={probs.shape[0]}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
     data = ds.load_csv(args.data, label_column=args.label_column or IoSettings.label_column)
+    header, rows = ds.read_table(args.predictions)
+    if "predicted_label" not in header:
+        raise DataFormatError(f"{args.predictions}: missing 'predicted_label' column")
+    col = header.index("predicted_label")
     predicted = []
-    with open(args.predictions, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or "predicted_label" not in header:
+    for row_no, row in enumerate(rows, start=2):
+        try:
+            label = int(row[col])
+            if label < 0:
+                raise ValueError
+        except ValueError:
             raise DataFormatError(
-                f"{args.predictions}: missing 'predicted_label' column"
-            )
-        col = header.index("predicted_label")
-        for row_no, row in enumerate(reader, start=2):
-            try:
-                predicted.append(int(row[col]))
-            except (ValueError, IndexError):
-                raise DataFormatError(
-                    f"{args.predictions}: bad predicted_label at row {row_no}"
-                ) from None
+                f"{args.predictions}: bad predicted_label at row {row_no}"
+            ) from None
+        predicted.append(label)
     if len(predicted) != data.n_samples:
         raise DataFormatError(
             f"prediction count {len(predicted)} does not match data rows {data.n_samples}"

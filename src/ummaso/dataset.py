@@ -1,4 +1,5 @@
-"""Tabular dataset handling: CSV ingest, standardization, splitting, rebalancing,
+"""Tabular dataset handling: the CSV table dialect shared by every table the
+package reads or writes, CSV ingest, standardization, splitting, rebalancing,
 and synthetic generation of imbalanced class blobs for desk-scale experiments.
 
 All operations are pure given their inputs and seed; returned datasets are
@@ -106,75 +107,115 @@ class SynthConfig:
             raise ValueError("noise_std must be positive")
 
 
-def load_csv(path: str, label_column: str = "fertility") -> Dataset:
-    """Parse a header-first CSV into a Dataset.
+def read_table(path: str) -> tuple[list[str], list[list[str]]]:
+    """Read a header-first CSV table: the stripped header and the raw data rows.
 
-    Every non-label cell must be a real number; label cells must be
-    non-negative integers. Parse failures report 1-based row and column
-    (row 1 is the header). Missing files raise OSError.
+    Every row must have as many cells as the header. Errors name the file and
+    the 1-based row (row 1 is the header). Missing files raise OSError.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise DataFormatError(f"{path}: empty file, missing header row")
-        header = [h.strip() for h in header]
-        seen = set()
-        for name in header:
-            if name in seen:
-                raise DataFormatError(f"{path}: duplicate header column '{name}'")
-            seen.add(name)
-        if label_column not in header:
-            raise DataFormatError(f"{path}: missing label column '{label_column}'")
-        label_idx = header.index(label_column)
-        feature_names = [h for i, h in enumerate(header) if i != label_idx]
+        rows = list(reader)
+    for row_no, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise DataFormatError(
+                f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+            )
+    return [h.strip() for h in header], rows
 
-        rows: list[list[float]] = []
-        labels: list[int] = []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
-                )
-            feats = []
-            for col_no, cell in enumerate(row, start=1):
-                if col_no - 1 == label_idx:
-                    continue
+
+def float_columns(
+    path: str, header: list[str], rows: list[list[str]], columns: list[str]
+) -> np.ndarray:
+    """The named columns of a `read_table` result as a finite (rows, columns)
+    float matrix. Errors name the file and the cell's 1-based row and column."""
+    for name in columns:
+        if name not in header:
+            raise DataFormatError(f"{path}: missing column '{name}'")
+    idx = [header.index(name) for name in columns]
+    try:
+        # one finiteness check over the matrix: a per-cell np.isfinite is slower;
+        # fromiter keeps no per-cell float objects alive next to the text rows
+        cells = (float(row[j]) for row in rows for j in idx)
+        matrix = np.fromiter(cells, np.float64, len(rows) * len(idx))
+    except ValueError:  # find the cell float() rejected
+        for row_no, row in enumerate(rows, start=2):
+            for j in idx:
                 try:
-                    value = float(cell)
+                    float(row[j])
                 except ValueError:
                     raise DataFormatError(
-                        f"{path}: non-numeric value '{cell}' at row {row_no}, "
-                        f"column {col_no}"
+                        f"{path}: non-numeric value '{row[j]}' at row {row_no}, "
+                        f"column {j + 1}"
                     ) from None
-                if not np.isfinite(value):
-                    raise DataFormatError(
-                        f"{path}: non-finite value '{cell}' at row {row_no}, "
-                        f"column {col_no}"
-                    )
-                feats.append(value)
-            label_cell = row[label_idx].strip()
-            try:
-                label = int(label_cell)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: label '{label_cell}' at row {row_no} is not an integer"
-                ) from None
-            if label < 0:
-                raise DataFormatError(
-                    f"{path}: label '{label_cell}' at row {row_no} is negative"
-                )
-            rows.append(feats)
-            labels.append(label)
+    matrix = matrix.reshape(len(rows), len(idx))
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        r, c = bad[0]
+        raise DataFormatError(
+            f"{path}: non-finite value '{rows[r][idx[c]]}' at row {r + 2}, "
+            f"column {idx[c] + 1}"
+        )
+    return matrix
 
+
+def _format_cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))  # shortest text that parses back to the same float
+    return str(int(value))  # ints and flags, numpy's included
+
+
+def write_table(path: str, header: list[str], rows) -> None:
+    """Write a header row and data rows in the dialect `read_table` reads:
+    floats as repr (exact round trip), ints and bools as integers, LF line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_format_cell(v) for v in row] for row in rows)
+
+
+def load_csv(path: str, label_column: str = "fertility") -> Dataset:
+    """Parse a header-first CSV into a Dataset.
+
+    Every non-label cell must be a finite real number; label cells must be
+    non-negative integers. Parse failures report 1-based row and column
+    (row 1 is the header). Missing files raise OSError.
+    """
+    header, rows = read_table(path)
+    if len(set(header)) != len(header):
+        name = next(h for i, h in enumerate(header) if h in header[:i])
+        raise DataFormatError(f"{path}: duplicate header column '{name}'")
+    if label_column not in header:
+        raise DataFormatError(f"{path}: missing label column '{label_column}'")
     if not rows:
         raise DataFormatError(f"{path}: zero data rows")
-    n_classes = max(labels) + 1
+    feature_names = [h for h in header if h != label_column]
+    features = float_columns(path, header, rows, feature_names)
+    label_idx = header.index(label_column)
+    labels: list[int] = []
+    for row_no, row in enumerate(rows, start=2):
+        label_cell = row[label_idx].strip()
+        try:
+            label = int(label_cell)
+        except ValueError:
+            raise DataFormatError(
+                f"{path}: label '{label_cell}' at row {row_no} is not an integer"
+            ) from None
+        if label < 0:
+            raise DataFormatError(
+                f"{path}: label '{label_cell}' at row {row_no} is negative"
+            )
+        labels.append(label)
     return Dataset(
-        features=np.asarray(rows, dtype=np.float64),
+        features=features,
         feature_names=feature_names,
         labels=np.asarray(labels, dtype=np.int64),
-        class_names=[f"class_{i}" for i in range(n_classes)],
+        class_names=[f"class_{i}" for i in range(max(labels) + 1)],
     )
 
 

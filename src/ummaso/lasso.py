@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import float_columns, read_table, write_table
 from .errors import DataFormatError
 
 ACTIVE_THRESHOLD = 1e-12  # |beta| above this counts as a non-zero coefficient
@@ -139,13 +140,12 @@ def kkt_violation(X: np.ndarray, y: np.ndarray, model: LassoModel) -> float:
     y = np.asarray(y, dtype=np.float64)
     residual = y - model.intercept - X @ model.coef
     grad = (X.T @ residual) / X.shape[0]
-    worst = 0.0
-    for j in range(X.shape[1]):
-        if abs(model.coef[j]) <= ACTIVE_THRESHOLD:
-            worst = max(worst, abs(grad[j]) - model.lam)
-        else:
-            worst = max(worst, abs(grad[j] - model.lam * np.sign(model.coef[j])))
-    return worst
+    excess = np.where(
+        np.abs(model.coef) <= ACTIVE_THRESHOLD,
+        np.abs(grad) - model.lam,
+        np.abs(grad - model.lam * np.sign(model.coef)),
+    )
+    return float(np.max(excess, initial=0.0))  # 0 when every condition holds
 
 
 def mse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -269,39 +269,23 @@ def ranking_from_dict(doc: dict) -> tuple[FeatureRanking, list[int]]:
 def path_to_csv(path: LassoPath, file_path: str) -> None:
     """Coefficient-path export, one row per lambda: lambda, df, mse, intercept,
     converged (1/0), beta_0..beta_{p-1}."""
-    p = path.coef_matrix.shape[1]
-    header = _PATH_CSV_COLUMNS + [f"beta_{j}" for j in range(p)]
-    with open(file_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for t in range(path.lambdas.size):
-            cells = [repr(float(path.lambdas[t])), str(int(path.df[t])), repr(float(path.mse[t]))]
-            cells += [repr(float(path.intercepts[t])), str(int(path.converged[t]))]
-            cells += [repr(float(v)) for v in path.coef_matrix[t]]
-            fh.write(",".join(cells) + "\n")
+    header = _PATH_CSV_COLUMNS + [f"beta_{j}" for j in range(path.coef_matrix.shape[1])]
+    columns = (path.lambdas, path.df, path.mse, path.intercepts, path.converged)
+    rows = ([*cells, *coefs] for *cells, coefs in zip(*columns, path.coef_matrix.tolist()))
+    write_table(file_path, header, rows)
 
 
 def load_path_csv(path: str) -> LassoPath:
     """Rebuild a LassoPath from its CSV export (`path_to_csv`)."""
-    lambdas, dfs, mses, intercepts, converged, coefs = [], [], [], [], [], []
-    with open(path, encoding="utf-8") as fh:
-        header = next(fh).rstrip("\n").split(",")
-        if header[: len(_PATH_CSV_COLUMNS)] != _PATH_CSV_COLUMNS:
-            raise DataFormatError(
-                f"{path}: header must start with {','.join(_PATH_CSV_COLUMNS)}"
-            )
-        for line in fh:
-            cells = line.rstrip("\n").split(",")
-            lambdas.append(float(cells[0]))
-            dfs.append(int(cells[1]))
-            mses.append(float(cells[2]))
-            intercepts.append(float(cells[3]))
-            converged.append(cells[4] == "1")
-            coefs.append([float(v) for v in cells[5:]])
+    header, rows = read_table(path)
+    if header[: len(_PATH_CSV_COLUMNS)] != _PATH_CSV_COLUMNS:
+        raise DataFormatError(f"{path}: header must start with {_PATH_CSV_COLUMNS}")
+    table = float_columns(path, header, rows, header)
     return LassoPath(
-        lambdas=np.asarray(lambdas),
-        coef_matrix=np.asarray(coefs),
-        intercepts=np.asarray(intercepts),
-        df=np.asarray(dfs, dtype=np.int64),
-        mse=np.asarray(mses),
-        converged=np.asarray(converged, dtype=bool),
+        lambdas=table[:, 0],
+        coef_matrix=table[:, len(_PATH_CSV_COLUMNS) :],
+        intercepts=table[:, 3],
+        df=table[:, 1].astype(np.int64),
+        mse=table[:, 2],
+        converged=table[:, 4] == 1.0,
     )

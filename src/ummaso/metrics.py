@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import write_table
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -130,9 +132,5 @@ def report_from_dict(doc: dict) -> MetricsReport:
 
 def report_to_csv(rep: MetricsReport, path: str) -> None:
     """Bar-chart data: metric,value rows for the four summary metrics."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("metric,value\n")
-        fh.write(f"accuracy,{repr(rep.accuracy)}\n")
-        fh.write(f"precision_macro,{repr(rep.precision_macro)}\n")
-        fh.write(f"recall_macro,{repr(rep.recall_macro)}\n")
-        fh.write(f"kappa,{repr(rep.kappa)}\n")
+    names = ("accuracy", "precision_macro", "recall_macro", "kappa")
+    write_table(path, ["metric", "value"], ([name, getattr(rep, name)] for name in names))

@@ -53,6 +53,8 @@ ARTIFACT_FILES = (
     "manifest.json",
 )
 
+HISTORY_COLUMNS = ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"]
+
 
 @dataclass
 class PipelineArtifacts:
@@ -284,14 +286,9 @@ def save_artifacts(artifacts: PipelineArtifacts, out_dir: str) -> None:
             join("selection.json"),
         )
     nw.save_model(artifacts.model, join("model.json"))
-    with open(join("history.csv"), "w", newline="", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,train_acc,val_loss,val_acc\n")
-        h = artifacts.history
-        for e in range(len(h)):
-            fh.write(
-                f"{e},{repr(float(h.train_loss[e]))},{repr(float(h.train_accuracy[e]))},"
-                f"{repr(float(h.val_loss[e]))},{repr(float(h.val_accuracy[e]))}\n"
-            )
+    h = artifacts.history
+    columns = (h.train_loss, h.train_accuracy, h.val_loss, h.val_accuracy)
+    ds.write_table(join("history.csv"), HISTORY_COLUMNS, zip(range(len(h)), *columns))
     _dump_json(mt.report_to_dict(artifacts.metrics_report), join("metrics.json"))
     emb = artifacts.embedding
     _dump_json(
@@ -317,32 +314,19 @@ def _load_json(path: str):
 
 
 def load_embedding_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    rows = []
-    labels = []
-    with open(path, encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            cells = line.rstrip("\n").split(",")
-            rows.append([float(v) for v in cells[:-1]])
-            labels.append(int(cells[-1]))
-    return np.asarray(rows), np.asarray(labels, dtype=np.int64)
+    header, rows = ds.read_table(path)
+    table = ds.float_columns(path, header, rows, header)
+    return table[:, :-1], table[:, -1].astype(np.int64)
 
 
 def load_history_csv(path: str) -> nw.TrainHistory:
-    tl, ta, vl, va = [], [], [], []
-    with open(path, encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            cells = line.rstrip("\n").split(",")
-            tl.append(float(cells[1]))
-            ta.append(float(cells[2]))
-            vl.append(float(cells[3]))
-            va.append(float(cells[4]))
+    header, rows = ds.read_table(path)
+    table = ds.float_columns(path, header, rows, HISTORY_COLUMNS[1:])
     return nw.TrainHistory(
-        train_loss=np.asarray(tl),
-        train_accuracy=np.asarray(ta),
-        val_loss=np.asarray(vl),
-        val_accuracy=np.asarray(va),
+        train_loss=table[:, 0],
+        train_accuracy=table[:, 1],
+        val_loss=table[:, 2],
+        val_accuracy=table[:, 3],
     )
 
 

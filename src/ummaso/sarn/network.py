@@ -115,7 +115,6 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     loss_head: str = DKL_HEAD
-    record_history: bool = True
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -463,13 +462,12 @@ def train(
                 params[name] -= config.learning_rate * grad
         if epoch == epochs - 1 and config.loss_head == DKL_HEAD:
             model.S[np.abs(model.S) < PRUNE_THRESHOLD] = 0.0
-        if config.record_history:
-            history.train_loss[epoch], history.train_accuracy[epoch] = _evaluate(
-                model, X_train, y_train, config.loss_head
-            )
-            history.val_loss[epoch], history.val_accuracy[epoch] = _evaluate(
-                model, X_val, y_val, config.loss_head
-            )
+        history.train_loss[epoch], history.train_accuracy[epoch] = _evaluate(
+            model, X_train, y_train, config.loss_head
+        )
+        history.val_loss[epoch], history.val_accuracy[epoch] = _evaluate(
+            model, X_val, y_val, config.loss_head
+        )
     return model, history
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .dataset import write_table
 from .errors import NumericalError
 
 logger = logging.getLogger(__name__)
@@ -452,10 +453,7 @@ def embedding_to_csv(coords: np.ndarray, labels: np.ndarray, path: str) -> None:
     """Write scatter-plot data: dim_0..dim_{e-1},label."""
     coords = np.asarray(coords, dtype=np.float64)
     header = [f"dim_{i}" for i in range(coords.shape[1])] + ["label"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row, label in zip(coords, labels):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
+    write_table(path, header, ([*row, label] for row, label in zip(coords.tolist(), labels)))
 
 
 def graph_edges_json(graph: NeighborGraph) -> list[dict]:

@@ -38,6 +38,20 @@ def workspace(tmp_path_factory):
     return root, data_csv, artifacts, config_path
 
 
+@pytest.fixture(scope="module")
+def artifacts_by_head(workspace):
+    """Fitted artifacts directories for both output heads."""
+    root, data_csv, artifacts, _ = workspace
+    config = dict(FAST_CONFIG, sarn=dict(FAST_CONFIG["sarn"], loss_head=nw.SOFTMAX_REG))
+    (root / "softmax.json").write_text(json.dumps(config))
+    softmax = str(root / "artifacts_softmax")
+    assert cli.main([
+        "fit", "--data", data_csv, "--out", softmax, "--seed", "11",
+        "--config", str(root / "softmax.json"),
+    ]) == 0
+    return {nw.DKL_HEAD: artifacts, nw.SOFTMAX_REG: softmax}
+
+
 class TestGenerate:
     def test_writes_requested_counts(self, tmp_path, capsys):
         out = str(tmp_path / "g.csv")
@@ -208,6 +222,34 @@ class TestPredict:
         assert "EC" in err
 
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    @pytest.mark.parametrize("head", [nw.DKL_HEAD, nw.SOFTMAX_REG])
+    def test_non_finite_feature_exits_2_naming_the_cell(
+        self, artifacts_by_head, tmp_path, capsys, head, cell
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"N,P,K,pH,EC\n40,20,15,5.2,0.35\n75,{cell},35,6.4,0.7\n")
+        out = tmp_path / "p.csv"
+        code, stdout, err = run_cli(
+            capsys, "predict", "--artifacts", artifacts_by_head[head], "--data", str(bad),
+            "--out", str(out),
+        )
+        assert code == 2 and stdout == ""
+        assert f"{bad}: non-finite value '{cell}' at row 3, column 2" in err
+        assert not out.exists()
+
+    def test_header_only_csv_exits_2(self, workspace, tmp_path, capsys):
+        _, _, artifacts, _ = workspace
+        empty = tmp_path / "empty.csv"
+        empty.write_text("N,P,K,pH,EC,fertility\n")
+        code, _, err = run_cli(
+            capsys, "predict", "--artifacts", artifacts, "--data", str(empty),
+            "--out", str(tmp_path / "p.csv"),
+        )
+        assert code == 2
+        assert "zero data rows" in err
+
+
 class TestEvaluate:
     def test_perfect_agreement_prints_unit_accuracy(self, workspace, tmp_path, capsys):
         root, data_csv, artifacts, _ = workspace
@@ -257,6 +299,24 @@ class TestEvaluate:
             "--out", str(tmp_path / "m.json"),
         )
         assert code == 2
+
+
+    def test_negative_predicted_label_names_file_and_row(self, workspace, tmp_path, capsys):
+        _, data_csv, _, _ = workspace
+        from ummaso.dataset import load_csv
+
+        labels = [int(v) for v in load_csv(data_csv).labels]
+        labels[1] = -1
+        preds = tmp_path / "preds.csv"
+        preds.write_text(
+            "row_index,predicted_label\n" + "".join(f"{r},{v}\n" for r, v in enumerate(labels))
+        )
+        code, _, err = run_cli(
+            capsys, "evaluate", "--predictions", str(preds), "--data", data_csv,
+            "--out", str(tmp_path / "m.json"),
+        )
+        assert code == 2
+        assert f"{preds}: bad predicted_label at row 3" in err
 
 
 class TestReduceSelect:

@@ -78,6 +78,48 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.labels, data.labels)
 
 
+class TestTable:
+    def test_cell_formatting(self, tmp_path):
+        path = str(tmp_path / "cells.csv")
+        row = [0.1, np.float64(-2.5), np.int64(7), np.bool_(True), False, 3, "name"]
+        ds.write_table(path, ["a", "b", "c", "d", "e", "f", "g"], [row])
+        assert (tmp_path / "cells.csv").read_bytes() == b"a,b,c,d,e,f,g\n0.1,-2.5,7,1,0,3,name\n"
+
+    def test_float_round_trip_is_exact(self, tmp_path):
+        values = [-0.0, 1e-300, 5e-324, 0.1, 1.0 / 3.0, -1.7976931348623157e308, 123456789.0]
+        path = str(tmp_path / "floats.csv")
+        ds.write_table(path, ["x", "y"], [[v, np.float64(v)] for v in values])
+        header, rows = ds.read_table(path)
+        back = ds.float_columns(path, header, rows, header)
+        assert back.shape == (len(values), 2)
+        for column in back.T:
+            assert column.tobytes() == np.asarray(values).tobytes()  # -0.0 keeps its sign
+
+    def test_named_columns_in_requested_order(self, tmp_path):
+        path = write(tmp_path, "a, b ,c\n1,2,x\n4,5,y\n")
+        header, rows = ds.read_table(path)
+        assert header == ["a", "b", "c"]
+        got = ds.float_columns(path, header, rows, ["b", "a"])
+        np.testing.assert_array_equal(got, [[2.0, 1.0], [5.0, 4.0]])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b,c\n1,2,3\n4,5,oops\n", r"non-numeric value 'oops' at row 3, column 3"),
+            ("a,b,c\n1,2,3\n4,nan,6\n", r"non-finite value 'nan' at row 3, column 2"),
+            ("a,b,c\n1,2,-inf\n", r"non-finite value '-inf' at row 2, column 3"),
+            ("a,b\n1,2\n", r"missing column 'c'"),
+            ("a,b,c\n1,2,3\n4,5\n", r"row 3 has 2 cells, expected 3"),
+            ("", r"empty file, missing header row"),
+        ],
+    )
+    def test_errors_name_file_and_position(self, tmp_path, text, message):
+        path = write(tmp_path, text)
+        with pytest.raises(DataFormatError, match=r"data\.csv: " + message):
+            header, rows = ds.read_table(path)
+            ds.float_columns(path, header, rows, ["b", "c"])
+
+
 class TestStandardize:
     def test_hand_computed_column(self):
         data = ds.Dataset(

@@ -1,5 +1,6 @@
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -290,21 +291,29 @@ class TestArtifactsIO:
         np.testing.assert_array_equal(labels_a, labels_b)
 
     def test_reload_is_lossless(self, default_run, tmp_path):
-        _, _, artifacts = default_run
-        out = str(tmp_path / "artifacts")
-        pl.save_artifacts(artifacts, out)
-        loaded = pl.load_artifacts(out)
-        assert np.any(artifacts.lasso_path.intercepts != 0.0)
-        for name in ("lambdas", "coef_matrix", "intercepts", "df", "mse", "converged"):
-            a, b = getattr(artifacts.lasso_path, name), getattr(loaded.lasso_path, name)
-            assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b)
-        assert artifacts.embedding.epoch_losses.size == artifacts.config.umap.epochs
-        for name in ("coordinates", "epoch_losses"):
-            np.testing.assert_array_equal(
-                getattr(artifacts.embedding, name), getattr(loaded.embedding, name)
-            )
-        assert loaded.embedding.final_loss == artifacts.embedding.final_loss
+        data, config, trained = default_run
+        # sarn.epochs 0 records no history, so its history.csv is header-only
+        untrained = pl.run(data, replace(config, sarn=replace(config.sarn, epochs=0)))
+        assert len(trained.history) == 40 and len(untrained.history) == 0
+        for run_no, artifacts in enumerate((trained, untrained)):
+            out = str(tmp_path / f"artifacts_{run_no}")
+            pl.save_artifacts(artifacts, out)
+            loaded = pl.load_artifacts(out)
+            assert np.any(artifacts.lasso_path.intercepts != 0.0)
+            for name in ("lambdas", "coef_matrix", "intercepts", "df", "mse", "converged"):
+                a, b = getattr(artifacts.lasso_path, name), getattr(loaded.lasso_path, name)
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+            assert artifacts.embedding.epoch_losses.size == artifacts.config.umap.epochs
+            for name in ("coordinates", "epoch_losses"):
+                np.testing.assert_array_equal(
+                    getattr(artifacts.embedding, name), getattr(loaded.embedding, name)
+                )
+            assert loaded.embedding.final_loss == artifacts.embedding.final_loss
+            for name in ("train_loss", "train_accuracy", "val_loss", "val_accuracy"):
+                a, b = getattr(artifacts.history, name), getattr(loaded.history, name)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                np.testing.assert_array_equal(a, b)
 
     def test_metrics_json_deterministic_bytes(self, default_run, tmp_path):
         data, config, _ = default_run
