@@ -45,17 +45,6 @@ def _configure_logging() -> None:
     logging.basicConfig(stream=sys.stderr, level=levels.get(name, logging.WARNING))
 
 
-def _load_json_file(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config root must be an object")
-    return doc
-
-
 def _metrics_line(report: mt.MetricsReport) -> str:
     return (
         f"accuracy={report.accuracy:.4f} "
@@ -73,7 +62,7 @@ def cmd_generate(args) -> int:
     if not per_class:
         raise ConfigError("--per-class must list at least one count")
     if args.centers is not None:
-        doc = _load_json_file(args.centers)
+        doc = ds.read_json(args.centers)
         if "centers" not in doc:
             raise ConfigError(f"{args.centers}: missing 'centers' key")
         centers = np.asarray(doc["centers"], dtype=np.float64)
@@ -102,7 +91,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    config_doc = _load_json_file(args.config) if args.config else {}
+    config_doc = ds.read_json(args.config) if args.config else {}
     config, io = parse_cli_config(config_doc)
     data_path = args.data or io.data
     out_dir = args.out or io.out
@@ -169,7 +158,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    config_doc = _load_json_file(args.config) if args.config else {}
+    config_doc = ds.read_json(args.config) if args.config else {}
     config, io = parse_cli_config(config_doc)
     label_column = args.label_column or io.label_column
     master = args.seed if args.seed is not None else config.seed
@@ -183,7 +172,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_select(args) -> int:
-    config_doc = _load_json_file(args.config) if args.config else {}
+    config_doc = ds.read_json(args.config) if args.config else {}
     config, io = parse_cli_config(config_doc)
     label_column = args.label_column or io.label_column
     data = ds.load_csv(args.data, label_column=label_column)

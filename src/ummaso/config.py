@@ -1,13 +1,16 @@
 """The configuration schema and its strict JSON form.
 
-The settings dataclasses here, with `umap.UmapConfig` and
-`lasso.SelectionStrategy`, are the only statement of the schema: a field's
-name is its JSON key, its annotation the accepted type and its default the
-value of an omitted key. `pipeline_config_from_dict` walks them to parse a
-document strictly (unknown keys and type errors name the full key path, range
-errors name their section); `config_to_dict` is its inverse and writes the
-manifest's config echo. A field marked `metadata={"derived": True}` is set
-by the program, not by the document.
+The settings dataclasses here, with `umap.UmapConfig`,
+`lasso.SelectionStrategy` and `sarn.network.SarnSettings` beside the code
+they configure, are the only statement of the schema: a field's name is its
+JSON key, its annotation the accepted type and its default the value of an
+omitted key. `pipeline_config_from_dict` walks them to parse a document
+strictly (unknown keys and type errors name the full key path; the range
+errors each class's `__post_init__` raises name their section, as in
+`sarn: rank must lie in ...`); `config_to_dict` is its inverse and writes the
+manifest's config echo. `validate` adds the checks that need the data. A
+field marked `metadata={"derived": True}` is set by the program, not by the
+document.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from .errors import ConfigError
 from .lasso import SelectionStrategy
 from .sarn import network as nw
+from .sarn.network import SarnSettings  # re-exported with the other sections
 from .umap import UmapConfig
 
 FEATURE_MODES = ("selected_only", "embedding_only", "selected_plus_embedding")
@@ -28,46 +32,6 @@ BALANCE_MODES = ("none", "oversample")
 class LassoSettings:
     grid_count: int = 100
     selection: SelectionStrategy = field(default_factory=SelectionStrategy)
-
-
-@dataclass(frozen=True)
-class SarnSettings:
-    kernel_size: int = 3
-    channels: int = 8
-    rank: int = 2
-    hidden: int = 16
-    dropout_rate: float = 0.1
-    reg_lambda: float = 1e-4
-    label_smoothing: float = 0.05
-    mask_len: int | None = None
-    epochs: int = 200
-    learning_rate: float = 0.05
-    batch_size: int = 32
-    loss_head: str = nw.DKL_HEAD
-
-    def init_model(self, width: int, n_classes: int, seed: int) -> nw.SarnModel:
-        return nw.init_model(
-            width,
-            n_classes,
-            kernel_size=self.kernel_size,
-            channels=self.channels,
-            rank=self.rank,
-            hidden=self.hidden,
-            dropout_rate=self.dropout_rate,
-            reg_lambda=self.reg_lambda,
-            label_smoothing=self.label_smoothing,
-            mask_len=self.mask_len,
-            seed=seed,
-        )
-
-    def train_config(self, seed: int) -> nw.TrainConfig:
-        return nw.TrainConfig(
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            seed=seed,
-            loss_head=self.loss_head,
-        )
 
 
 @dataclass(frozen=True)
@@ -179,29 +143,29 @@ def parse_cli_config(doc: dict) -> tuple[PipelineConfig, IoSettings]:
 
 def validate(config: PipelineConfig, n_features: int, n_classes: int) -> None:
     """Reject, before any stage runs, a top_k `k` above the feature count and
-    a config whose sarn stage would fail on the classifier input width known
-    before fitting: `umap.out_dim`, top_k `k`, or their sum. A
-    lambda_at/min_mse selection's width is known only after LASSO, so
-    `check_sarn` runs again then."""
+    a config whose sarn model cannot be built at the classifier input width
+    known before fitting: `umap.out_dim`, top_k `k`, or their sum. A
+    lambda_at/min_mse selection's width is known only after LASSO, so the
+    features stage calls `check_sarn` then."""
     selection = config.lasso.selection
     top_k = config.uses_lasso and selection.strategy == "top_k"
     if top_k and selection.k > n_features:
         raise ConfigError(
             f"'lasso.selection.k' {selection.k} exceeds the feature count {n_features}"
         )
-    width = None
     if not config.uses_lasso or top_k:
         width = (selection.k if top_k else 0) + (
             config.umap.out_dim if config.uses_umap else 0
         )
-    check_sarn(config, n_classes, width)
+        check_sarn(config, n_classes, width)
 
 
-def check_sarn(config: PipelineConfig, n_classes: int, width: int | None) -> None:
-    """Build the training schedule and, if `width` is known, the model the sarn
-    stage would build; raise ConfigError naming the keys if either fails."""
+def check_sarn(config: PipelineConfig, n_classes: int, width: int) -> None:
+    """Build the model the sarn stage would build at input width `width`;
+    raise ConfigError naming the keys if that fails. The checks that need no
+    width already ran when `SarnSettings` was constructed."""
     sarn = config.sarn
-    if width is not None and width < sarn.kernel_size:
+    if width < sarn.kernel_size:
         sources = []
         if config.uses_lasso:
             top_k = config.lasso.selection.strategy == "top_k"
@@ -213,8 +177,6 @@ def check_sarn(config: PipelineConfig, n_classes: int, width: int | None) -> Non
             f"width {width} set by {' + '.join(sources)}"
         )
     try:
-        sarn.train_config(0)
-        if width is not None:
-            sarn.init_model(width, n_classes, 0)
+        nw.init_model(width, n_classes, sarn, 0)
     except ValueError as exc:
         raise ConfigError(f"sarn: {exc}") from exc

@@ -1,6 +1,7 @@
 """Tabular dataset handling: the CSV table dialect shared by every table the
-package reads or writes, CSV ingest, standardization, splitting, rebalancing,
-and synthetic generation of imbalanced class blobs for desk-scale experiments.
+package reads or writes, the one reader of JSON object files (configs and
+artifacts), CSV ingest, standardization, splitting, rebalancing, and
+synthetic generation of imbalanced class blobs for desk-scale experiments.
 
 All operations are pure given their inputs and seed; returned datasets are
 never mutated afterwards.
@@ -9,6 +10,7 @@ never mutated afterwards.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -179,6 +181,20 @@ def write_table(path: str, header: list[str], rows) -> None:
         writer.writerows([_format_cell(v) for v in row] for row in rows)
 
 
+def read_json(path: str) -> dict:
+    """Read a JSON file whose root is an object (a config or an artifact).
+    Invalid JSON and any other root raise DataFormatError naming the file;
+    missing files raise OSError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: the JSON root must be an object")
+    return doc
+
+
 def load_csv(path: str, label_column: str = "fertility") -> Dataset:
     """Parse a header-first CSV into a Dataset.
 
@@ -220,12 +236,9 @@ def load_csv(path: str, label_column: str = "fertility") -> Dataset:
 
 
 def write_csv(data: Dataset, path: str, label_column: str = "fertility") -> None:
-    """Write a Dataset in the same CSV dialect load_csv reads (exact round trip)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(data.feature_names) + [label_column])
-        for feats, label in zip(data.features, data.labels):
-            writer.writerow([repr(float(v)) for v in feats] + [int(label)])
+    """Write a Dataset as a table load_csv reads back exactly."""
+    rows = (row.tolist() + [label] for row, label in zip(data.features, data.labels))
+    write_table(path, [*data.feature_names, label_column], rows)
 
 
 def standardize(data: Dataset) -> tuple[Dataset, StandardizationParams]:

@@ -186,12 +186,9 @@ def run(data: ds.Dataset, config: PipelineConfig) -> PipelineArtifacts:
 
     def run_sarn():
         seed = config.seed + SEED_SARN
-        model = config.sarn.init_model(train_feats.shape[1], data.n_classes, seed)
+        model = nw.init_model(train_feats.shape[1], data.n_classes, config.sarn, seed)
         return nw.train(
-            (train_feats, train_std.labels),
-            (test_feats, test.labels),
-            model,
-            config.sarn.train_config(seed),
+            (train_feats, train_std.labels), (test_feats, test.labels), model, config.sarn, seed
         )
 
     model, history = stage("sarn", run_sarn)
@@ -308,11 +305,6 @@ def save_artifacts(artifacts: PipelineArtifacts, out_dir: str) -> None:
     )
 
 
-def _load_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def load_embedding_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     header, rows = ds.read_table(path)
     table = ds.float_columns(path, header, rows, header)
@@ -333,14 +325,14 @@ def load_history_csv(path: str) -> nw.TrainHistory:
 def load_artifacts(out_dir: str) -> PipelineArtifacts:
     """Reload a saved artifacts directory, losslessly."""
     join = lambda name: os.path.join(out_dir, name)
-    manifest = _load_json(join("manifest.json"))
+    manifest = ds.read_json(join("manifest.json"))
     if manifest.get("manifest_version") != MANIFEST_VERSION:
         raise DataFormatError(
             f"{out_dir}: manifest_version {manifest.get('manifest_version')} is not "
             f"{MANIFEST_VERSION}; refit to write a current artifacts directory"
         )
     config = pipeline_config_from_dict(manifest["config"])
-    std_doc = _load_json(join("standardization.json"))
+    std_doc = ds.read_json(join("standardization.json"))
     std = ds.StandardizationParams(
         means=np.asarray(std_doc["means"]), std_devs=np.asarray(std_doc["std_devs"])
     )
@@ -348,7 +340,7 @@ def load_artifacts(out_dir: str) -> PipelineArtifacts:
     train_points = np.zeros((0, len(std_doc["feature_names"])))
     train_labels = np.zeros(0, dtype=np.int64)
     if config.uses_umap:
-        g = _load_json(join("graph.json"))
+        g = ds.read_json(join("graph.json"))
         edges = g["edges"]
         graph = um.NeighborGraph(
             neighbor_indices=np.asarray(g["neighbor_indices"], dtype=np.int64),
@@ -373,7 +365,7 @@ def load_artifacts(out_dir: str) -> PipelineArtifacts:
     path = ranking = selected = None
     if config.uses_lasso:
         path = ls.load_path_csv(join("lasso_path.csv"))
-        ranking, selected = ls.ranking_from_dict(_load_json(join("selection.json")))
+        ranking, selected = ls.ranking_from_dict(ds.read_json(join("selection.json")))
     return PipelineArtifacts(
         config=config,
         feature_names=list(manifest["feature_names"]),
@@ -388,7 +380,7 @@ def load_artifacts(out_dir: str) -> PipelineArtifacts:
         selected=selected,
         model=nw.load_model(join("model.json")),
         history=load_history_csv(join("history.csv")),
-        metrics_report=mt.report_from_dict(_load_json(join("metrics.json"))),
+        metrics_report=mt.report_from_dict(ds.read_json(join("metrics.json"))),
         timings={k: float(v) for k, v in manifest["timings"].items()},
         stages=list(manifest["stages"]),
     )

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..dataset import read_json
 from ..errors import NumericalError
 from .conv import ConvSpec, FactorizedKernel, factorized_backward, factorized_forward
 
@@ -108,12 +109,24 @@ def softmax_reg_cost(
     return data + 0.5 * reg_lambda * float(np.sum(theta[:, :-1] ** 2))
 
 
-@dataclass
-class TrainConfig:
+@dataclass(frozen=True)
+class SarnSettings:
+    """The `sarn` config section: network shape, regularization and training
+    schedule. Each default and each check that needs no input width is stated
+    here; `init_model` checks the rest (kernel and mask length against the
+    width) through `ConvSpec` and `SarnModel`."""
+
+    kernel_size: int = 3
+    channels: int = 8
+    rank: int = 2
+    hidden: int = 16
+    dropout_rate: float = 0.1
+    reg_lambda: float = 1e-4
+    label_smoothing: float = 0.05
+    mask_len: int | None = None  # None: every position
     epochs: int = 200
     learning_rate: float = 0.05
     batch_size: int = 32
-    seed: int = 0
     loss_head: str = DKL_HEAD
 
     def __post_init__(self):
@@ -125,6 +138,17 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if self.loss_head not in (DKL_HEAD, SOFTMAX_REG):
             raise ValueError(f"unknown loss_head '{self.loss_head}'")
+        if self.hidden < 1:
+            raise ValueError("hidden must be at least 1")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout_rate must lie in [0, 1)")
+        if self.mask_len is not None and self.mask_len < 1:
+            raise ValueError(f"mask_len must be at least 1, got {self.mask_len}")
+        # a spec at the narrowest width the kernel fits checks kernel_size, channels and rank
+        k = self.kernel_size
+        ConvSpec(
+            height=1, width=k, channels=1, kernel_size=k, out_channels=self.channels, rank=self.rank
+        )
 
 
 @dataclass
@@ -157,15 +181,13 @@ class SarnModel:
     w_out: np.ndarray
     v_out: np.ndarray
     theta: np.ndarray
-    dropout_rate: float = 0.1
-    reg_lambda: float = 1e-4
-    label_smoothing: float = 0.05
-    mask_len: int | None = None
-    active_head: str = DKL_HEAD
+    dropout_rate: float
+    reg_lambda: float
+    label_smoothing: float
+    mask_len: int
+    active_head: str
 
     def __post_init__(self):
-        if self.mask_len is None:
-            self.mask_len = self.spec.positions
         if not 1 <= self.mask_len <= self.spec.positions:
             raise ValueError(
                 f"mask_len must lie in [1, {self.spec.positions}], got {self.mask_len}"
@@ -189,18 +211,7 @@ class SarnModel:
 
 
 def init_model(
-    feature_width: int,
-    n_classes: int,
-    *,
-    kernel_size: int = 3,
-    channels: int = 8,
-    rank: int = 2,
-    hidden: int = 16,
-    dropout_rate: float = 0.1,
-    reg_lambda: float = 1e-4,
-    label_smoothing: float = 0.05,
-    mask_len: int | None = None,
-    seed: int = 0,
+    feature_width: int, n_classes: int, settings: SarnSettings, seed: int
 ) -> SarnModel:
     """Seeded initialization in tabular mode (1 x width single-channel input).
 
@@ -208,20 +219,21 @@ def init_model(
     factorized representation (P = identity + 1e-2 noise, truncated SVD for
     S/Q), so training begins consistent with the factorization.
     """
+    kernel_size, channels, hidden = settings.kernel_size, settings.channels, settings.hidden
     spec = ConvSpec(
         height=1,
         width=feature_width,
         channels=1,
         kernel_size=kernel_size,
         out_channels=channels,
-        rank=rank,
+        rank=settings.rank,
     )
     rng = np.random.default_rng(seed)
     kernel = rng.normal(
         0.0, 1.0 / np.sqrt(spec.patch_size), size=(spec.kernel_height, kernel_size, 1, channels)
     )
     P = np.eye(1) + 1e-2 * rng.normal(size=(1, 1))
-    fk = FactorizedKernel.from_kernel(kernel, P, rank)
+    fk = FactorizedKernel.from_kernel(kernel, P, settings.rank)
     positions = spec.positions
     flat = positions * channels
     return SarnModel(
@@ -235,10 +247,11 @@ def init_model(
         w_out=rng.normal(0.0, 1.0 / np.sqrt(flat), size=(flat, hidden)),
         v_out=rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, n_classes)),
         theta=np.zeros((n_classes, feature_width + 1)),
-        dropout_rate=dropout_rate,
-        reg_lambda=reg_lambda,
-        label_smoothing=label_smoothing,
-        mask_len=mask_len if mask_len is not None else positions,
+        dropout_rate=settings.dropout_rate,
+        reg_lambda=settings.reg_lambda,
+        label_smoothing=settings.label_smoothing,
+        mask_len=positions if settings.mask_len is None else settings.mask_len,
+        active_head=settings.loss_head,
     )
 
 
@@ -414,9 +427,11 @@ def train(
     train_data: tuple[np.ndarray, np.ndarray],
     val_data: tuple[np.ndarray, np.ndarray],
     model_init: SarnModel,
-    config: TrainConfig,
+    settings: SarnSettings,
+    seed: int,
 ) -> tuple[SarnModel, TrainHistory]:
-    """Seeded mini-batch gradient descent; no early stopping.
+    """Seeded mini-batch gradient descent on `settings`' schedule and
+    loss_head; no early stopping.
 
     History rows are computed at the end of each epoch over the full train
     and validation sets in evaluation mode, so the final row matches what
@@ -428,8 +443,8 @@ def train(
     X_train = np.asarray(X_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.int64)
     model = copy.deepcopy(model_init)
-    model.active_head = config.loss_head
-    epochs = config.epochs
+    model.active_head = settings.loss_head
+    epochs = settings.epochs
     history = TrainHistory(
         train_loss=np.zeros(epochs),
         train_accuracy=np.zeros(epochs),
@@ -438,35 +453,35 @@ def train(
     )
     if epochs == 0:
         return model, history
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     n = y_train.size
-    params = model.head_params(config.loss_head)
+    params = model.head_params(settings.loss_head)
     for epoch in range(epochs):
         order = rng.permutation(n)
-        for batch_no, start in enumerate(range(0, n, config.batch_size)):
-            sel = order[start : start + config.batch_size]
+        for batch_no, start in enumerate(range(0, n, settings.batch_size)):
+            sel = order[start : start + settings.batch_size]
             drop = None
-            if config.loss_head == DKL_HEAD and model.dropout_rate > 0.0:
+            if settings.loss_head == DKL_HEAD and model.dropout_rate > 0.0:
                 drop = rng.random((sel.size, model.mask_len)) < model.dropout_rate
                 full = np.zeros((sel.size, model.spec.positions), dtype=bool)
                 full[:, : model.mask_len] = drop
                 drop = full
             value, grads = gradients(
-                model, X_train[sel], y_train[sel], head=config.loss_head, drop_mask=drop
+                model, X_train[sel], y_train[sel], head=settings.loss_head, drop_mask=drop
             )
             if not np.isfinite(value):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 )
             for name, grad in grads.items():
-                params[name] -= config.learning_rate * grad
-        if epoch == epochs - 1 and config.loss_head == DKL_HEAD:
+                params[name] -= settings.learning_rate * grad
+        if epoch == epochs - 1 and settings.loss_head == DKL_HEAD:
             model.S[np.abs(model.S) < PRUNE_THRESHOLD] = 0.0
         history.train_loss[epoch], history.train_accuracy[epoch] = _evaluate(
-            model, X_train, y_train, config.loss_head
+            model, X_train, y_train, settings.loss_head
         )
         history.val_loss[epoch], history.val_accuracy[epoch] = _evaluate(
-            model, X_val, y_val, config.loss_head
+            model, X_val, y_val, settings.loss_head
         )
     return model, history
 
@@ -537,5 +552,4 @@ def save_model(model: SarnModel, path: str) -> None:
 
 
 def load_model(path: str) -> SarnModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(read_json(path))

@@ -180,10 +180,10 @@ def test_criterion_06_sarn_gradient_check():
         h = 1e-5
         worst = 0.0
         for seed in (1, 2, 3):
-            model = nw.init_model(
-                8, 3, kernel_size=3, channels=4, rank=2, hidden=8,
-                dropout_rate=0.0, reg_lambda=0.01, seed=seed,
+            settings = nw.SarnSettings(
+                kernel_size=3, channels=4, rank=2, hidden=8, dropout_rate=0.0, reg_lambda=0.01
             )
+            model = nw.init_model(8, 3, settings, seed=seed)
             rng = np.random.default_rng(1000 + seed)
             X = rng.normal(size=(4, 8))
             y = rng.integers(0, 3, size=4)
@@ -253,10 +253,12 @@ def test_criterion_08_softmax_regression():
         Xs = np.vstack([c + 0.3 * rng.normal(size=(60, 3)) for c in centers])
         ys = np.repeat(np.arange(3), 60)
         Xs = (Xs - Xs.mean(axis=0)) / Xs.std(axis=0)
-        model = nw.init_model(3, 3, kernel_size=2, channels=4, rank=2, hidden=8, seed=0)
-        cfg = nw.TrainConfig(epochs=200, learning_rate=0.5, batch_size=32, seed=1,
-                             loss_head=nw.SOFTMAX_REG)
-        _, history = nw.train((Xs, ys), (Xs, ys), model, cfg)
+        model = nw.init_model(
+            3, 3, nw.SarnSettings(kernel_size=2, channels=4, rank=2, hidden=8), seed=0
+        )
+        cfg = nw.SarnSettings(epochs=200, learning_rate=0.5, batch_size=32,
+                              loss_head=nw.SOFTMAX_REG)
+        _, history = nw.train((Xs, ys), (Xs, ys), model, cfg, seed=1)
         assert history.train_accuracy[-1] >= 0.95
     ok(8, f"shift invariance <=1e-12, log C cost exact, separable accuracy "
           f"{history.train_accuracy[-1]:.3f} ({budget.elapsed:.2f}s)")

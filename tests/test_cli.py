@@ -1,11 +1,13 @@
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ummaso import cli
+from ummaso import dataset as ds
 from ummaso import pipeline as pl
 from ummaso.sarn import network as nw
 
@@ -152,6 +154,42 @@ class TestFit:
         assert "'lasso.selection.k'" in err and "stage 'lasso'" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sarn", [{"rank": 9}, {"dropout_rate": 1.0}, {"mask_len": 0}])
+    @pytest.mark.parametrize(
+        "selection", [{"strategy": "min_mse"}, {"strategy": "lambda_at", "value": 0.01}]
+    )
+    def test_bad_sarn_value_exits_2_before_any_stage(
+        self, workspace, tmp_path, capsys, monkeypatch, selection, sarn
+    ):
+        # a lambda_at/min_mse width is known only after LASSO, but these checks
+        # need no width, so the config is rejected while it is parsed
+        _, data_csv, _, _ = workspace
+        calls = []
+        split = ds.stratified_split
+        monkeypatch.setattr(
+            ds, "stratified_split", lambda *a, **k: calls.append("split") or split(*a, **k)
+        )
+        config = tmp_path / "bad_sarn.json"
+        config.write_text(json.dumps(dict(FAST_CONFIG, lasso={"selection": selection}, sarn=sarn)))
+        out = tmp_path / "o"
+        code, stdout, err = run_cli(
+            capsys, "fit", "--data", data_csv, "--out", str(out), "--config", str(config)
+        )
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: sarn: {next(iter(sarn))} must ")
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["{", "[]"])
+    def test_config_that_is_not_a_json_object_exits_2_naming_it(self, tmp_path, capsys, text):
+        config = tmp_path / "bad.json"
+        config.write_text(text)
+        code, _, err = run_cli(
+            capsys, "fit", "--data", "x.csv", "--out", "y", "--config", str(config)
+        )
+        assert code == 2
+        assert err.startswith(f"error: {config}: ")
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"sarn": {"epoch": 10}}))
@@ -237,6 +275,24 @@ class TestPredict:
         assert code == 2 and stdout == ""
         assert f"{bad}: non-finite value '{cell}' at row 3, column 2" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "array root"])
+    @pytest.mark.parametrize("name", [n for n in pl.ARTIFACT_FILES if n.endswith(".json")])
+    def test_corrupt_json_artifact_exits_2_naming_the_file(
+        self, workspace, tmp_path, capsys, name, damage
+    ):
+        _, data_csv, artifacts, _ = workspace
+        damaged = tmp_path / "artifacts"
+        shutil.copytree(artifacts, damaged)
+        target = damaged / name
+        text = target.read_text()
+        target.write_text(text[: len(text) // 2] if damage == "truncated" else "[1]")
+        code, stdout, err = run_cli(
+            capsys, "predict", "--artifacts", str(damaged), "--data", data_csv,
+            "--out", str(tmp_path / "p.csv"),
+        )
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: {target}: ")
 
     def test_header_only_csv_exits_2(self, workspace, tmp_path, capsys):
         _, _, artifacts, _ = workspace

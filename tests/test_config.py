@@ -1,6 +1,12 @@
+import json
+import re
+from dataclasses import asdict
+from pathlib import Path
+
 import pytest
 
 from ummaso.config import (
+    IoSettings,
     LassoSettings,
     PipelineConfig,
     SarnSettings,
@@ -55,6 +61,14 @@ CASES = [
             sarn=SarnSettings(kernel_size=2, loss_head="softmax_reg", mask_len=1),
         ),
     ),
+    # checks that need no input width run while the document is parsed
+    ({"sarn": {"rank": 9}}, "sarn: rank must lie in [1, min(patch=3, n=8)], got 9"),
+    ({"sarn": {"dropout_rate": 1.0}}, "sarn: dropout_rate must lie in [0, 1)"),
+    ({"sarn": {"mask_len": 0}}, "sarn: mask_len must be at least 1, got 0"),
+    ({"sarn": {"kernel_size": 0}}, "sarn: kernel_size, channels and out_channels must be positive"),
+    ({"sarn": {"loss_head": "svm"}}, "sarn: unknown loss_head 'svm'"),
+    ({"sarn": {"batch_size": 0}}, "sarn: batch_size must be at least 1"),
+    ({"sarn": {"hidden": 0}}, "sarn: hidden must be at least 1"),
 ]
 
 
@@ -69,3 +83,11 @@ def test_parse(doc, expect):
     assert parsed == expect
     assert pipeline_config_from_dict(config_to_dict(parsed)) == parsed
     assert type(parsed.umap.a) is float
+
+
+def test_readme_default_config_block_matches_the_schema():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    doc = json.loads(re.sub(r"//[^\n]*", "", block))
+    assert doc == {**config_to_dict(PipelineConfig()), **asdict(IoSettings())}

@@ -67,7 +67,7 @@ class TestLoadCsv:
         rng = np.random.default_rng(0)
         data = ds.Dataset(
             features=rng.normal(size=(20, 3)) * 1e3,
-            feature_names=["x", "y", "z"],
+            feature_names=["x", "y, mg/kg", "z"],
             labels=rng.integers(0, 2, size=20),
             class_names=["a", "b"],
         )
@@ -76,6 +76,14 @@ class TestLoadCsv:
         back = ds.load_csv(path)
         np.testing.assert_array_equal(back.features, data.features)
         np.testing.assert_array_equal(back.labels, data.labels)
+        assert back.feature_names == data.feature_names
+        lines = ['x,"y, mg/kg",z,fertility'] + [
+            ",".join([*map(repr, row.tolist()), str(label)])
+            for row, label in zip(data.features, data.labels)
+        ]
+        assert (tmp_path / "round.csv").read_bytes() == "".join(
+            line + "\n" for line in lines
+        ).encode()
 
 
 class TestTable:

@@ -177,7 +177,8 @@ class TestFailFast:
                 ),
                 "lasso.selection.k",
             ),
-            (dict(sarn=pl.SarnSettings(rank=9)), "sarn: rank"),
+            # positions = width 7 (top_k 5 + out_dim 2) - kernel_size 3 + 1 = 5
+            (dict(sarn=pl.SarnSettings(mask_len=9)), "sarn: mask_len must lie in"),
             (
                 dict(lasso=pl.LassoSettings(selection=SelectionStrategy("top_k", k=9))),
                 "'lasso.selection.k' 9 exceeds the feature count 5",

@@ -11,14 +11,16 @@ def tiny_model(seed=7, dropout=0.0, reg=0.01, mask_len=None, width=8, classes=3)
     return nw.init_model(
         width,
         classes,
-        kernel_size=3,
-        channels=4,
-        rank=2,
-        hidden=8,
-        dropout_rate=dropout,
-        reg_lambda=reg,
-        label_smoothing=0.05,
-        mask_len=mask_len,
+        nw.SarnSettings(
+            kernel_size=3,
+            channels=4,
+            rank=2,
+            hidden=8,
+            dropout_rate=dropout,
+            reg_lambda=reg,
+            label_smoothing=0.05,
+            mask_len=mask_len,
+        ),
         seed=seed,
     )
 
@@ -342,63 +344,75 @@ class TestTrain:
     def test_zero_epochs_returns_init_unchanged(self):
         model = tiny_model()
         data = (np.zeros((6, 8)), np.zeros(6, dtype=int))
-        out, history = nw.train(data, data, model, nw.TrainConfig(epochs=0))
+        out, history = nw.train(data, data, model, nw.SarnSettings(epochs=0), seed=0)
         assert len(history) == 0
         for name in nw.DKL_PARAMS:
             np.testing.assert_array_equal(getattr(out, name), getattr(model, name))
 
     def test_learns_separable_data_with_dkl_head(self):
         X, y = separable_three_class()
-        model = nw.init_model(3, 3, kernel_size=2, channels=4, rank=2, hidden=8,
-                              dropout_rate=0.0, reg_lambda=1e-4, seed=5)
-        cfg = nw.TrainConfig(epochs=120, learning_rate=0.2, batch_size=16, seed=6)
-        trained, history = nw.train((X, y), (X, y), model, cfg)
+        settings = nw.SarnSettings(
+            kernel_size=2, channels=4, rank=2, hidden=8, dropout_rate=0.0, reg_lambda=1e-4
+        )
+        model = nw.init_model(3, 3, settings, seed=5)
+        cfg = nw.SarnSettings(epochs=120, learning_rate=0.2, batch_size=16)
+        trained, history = nw.train((X, y), (X, y), model, cfg, seed=6)
         assert history.train_accuracy[-1] >= 0.95
         assert history.train_loss[9] < history.train_loss[0]
 
     def test_learns_separable_data_with_softmax_head(self):
         X, y = separable_three_class(seed=18)
-        model = nw.init_model(3, 3, kernel_size=2, channels=4, rank=2, hidden=8, seed=5)
-        cfg = nw.TrainConfig(epochs=200, learning_rate=0.5, batch_size=16, seed=6,
-                             loss_head=nw.SOFTMAX_REG)
-        trained, history = nw.train((X, y), (X, y), model, cfg)
+        model = nw.init_model(
+            3, 3, nw.SarnSettings(kernel_size=2, channels=4, rank=2, hidden=8), seed=5
+        )
+        cfg = nw.SarnSettings(epochs=200, learning_rate=0.5, batch_size=16,
+                              loss_head=nw.SOFTMAX_REG)
+        trained, history = nw.train((X, y), (X, y), model, cfg, seed=6)
         assert history.train_accuracy[-1] >= 0.95
 
     def test_deterministic_history(self):
         X, y = separable_three_class(seed=19)
-        model = nw.init_model(3, 3, kernel_size=2, channels=4, rank=2, hidden=8,
-                              dropout_rate=0.2, seed=5)
-        cfg = nw.TrainConfig(epochs=15, learning_rate=0.1, batch_size=8, seed=42)
-        _, h1 = nw.train((X, y), (X, y), model, cfg)
-        _, h2 = nw.train((X, y), (X, y), model, cfg)
+        settings = nw.SarnSettings(
+            kernel_size=2, channels=4, rank=2, hidden=8, dropout_rate=0.2
+        )
+        model = nw.init_model(3, 3, settings, seed=5)
+        cfg = nw.SarnSettings(epochs=15, learning_rate=0.1, batch_size=8)
+        _, h1 = nw.train((X, y), (X, y), model, cfg, seed=42)
+        _, h2 = nw.train((X, y), (X, y), model, cfg, seed=42)
         np.testing.assert_array_equal(h1.train_loss, h2.train_loss)
         np.testing.assert_array_equal(h1.val_accuracy, h2.val_accuracy)
 
     def test_predict_reproduces_final_history_accuracy(self):
         X, y = separable_three_class(seed=20)
-        model = nw.init_model(3, 3, kernel_size=2, channels=4, rank=2, hidden=8,
-                              dropout_rate=0.1, seed=5)
-        cfg = nw.TrainConfig(epochs=25, learning_rate=0.1, batch_size=16, seed=3)
-        trained, history = nw.train((X, y), (X, y), model, cfg)
+        settings = nw.SarnSettings(
+            kernel_size=2, channels=4, rank=2, hidden=8, dropout_rate=0.1
+        )
+        model = nw.init_model(3, 3, settings, seed=5)
+        cfg = nw.SarnSettings(epochs=25, learning_rate=0.1, batch_size=16)
+        trained, history = nw.train((X, y), (X, y), model, cfg, seed=3)
         _, labels = nw.predict(trained, X)
         assert float(np.mean(labels == y)) == history.train_accuracy[-1]
 
     def test_small_s_entries_pruned_to_exact_zero(self):
         X, y = separable_three_class(seed=21)
-        model = nw.init_model(3, 3, kernel_size=2, channels=4, rank=2, hidden=8, seed=5)
+        model = nw.init_model(
+            3, 3, nw.SarnSettings(kernel_size=2, channels=4, rank=2, hidden=8), seed=5
+        )
         trained, _ = nw.train((X, y), (X, y), model,
-                              nw.TrainConfig(epochs=5, learning_rate=0.05, batch_size=16, seed=1))
+                              nw.SarnSettings(epochs=5, learning_rate=0.05, batch_size=16), seed=1)
         small = np.abs(trained.S[trained.S != 0.0])
         if small.size:
             assert small.min() >= nw.PRUNE_THRESHOLD
 
     def test_non_finite_loss_aborts(self):
         X, y = separable_three_class(seed=22)
-        model = nw.init_model(3, 3, kernel_size=2, channels=4, rank=2, hidden=8, seed=5)
+        model = nw.init_model(
+            3, 3, nw.SarnSettings(kernel_size=2, channels=4, rank=2, hidden=8), seed=5
+        )
         model.w_out[0, 0] = np.inf
         with np.errstate(all="ignore"), pytest.raises(NumericalError):
             nw.train((X, y), (X, y), model,
-                     nw.TrainConfig(epochs=1, learning_rate=0.1, batch_size=16, seed=0))
+                     nw.SarnSettings(epochs=1, learning_rate=0.1, batch_size=16), seed=0)
 
 
 class TestPredict:
@@ -426,9 +440,11 @@ class TestPredict:
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, tmp_path):
         X, y = separable_three_class(seed=24)
-        model = nw.init_model(3, 3, kernel_size=2, channels=4, rank=2, hidden=8, seed=5)
+        model = nw.init_model(
+            3, 3, nw.SarnSettings(kernel_size=2, channels=4, rank=2, hidden=8), seed=5
+        )
         trained, _ = nw.train((X, y), (X, y), model,
-                              nw.TrainConfig(epochs=3, learning_rate=0.05, batch_size=16, seed=1))
+                              nw.SarnSettings(epochs=3, learning_rate=0.05, batch_size=16), seed=1)
         path = str(tmp_path / "model.json")
         nw.save_model(trained, path)
         back = nw.load_model(path)
