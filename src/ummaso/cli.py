@@ -9,7 +9,6 @@ diagnostics go to stderr (verbosity via UMMASO_LOG in {quiet, info, debug}).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -23,7 +22,7 @@ from . import lasso as ls
 from . import metrics as mt
 from . import pipeline as pl
 from . import umap as um
-from .config import IoSettings, parse_cli_config
+from .config import IoSettings, PipelineConfig, parse_cli_config
 from .errors import ConfigError, DataFormatError, NumericalError, StageError
 from .sarn import network as nw
 
@@ -52,6 +51,13 @@ def _metrics_line(report: mt.MetricsReport) -> str:
         f"recall={report.recall_macro:.4f} "
         f"kappa={report.kappa:.4f}"
     )
+
+
+def _read_config(args) -> tuple[PipelineConfig, IoSettings]:
+    """The --config document (empty without one) parsed strictly, with the
+    --label-column flag, when given, overriding its label column."""
+    config, io = parse_cli_config(ds.read_json(args.config) if args.config else {})
+    return config, replace(io, label_column=args.label_column or io.label_column)
 
 
 def cmd_generate(args) -> int:
@@ -91,18 +97,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    config_doc = ds.read_json(args.config) if args.config else {}
-    config, io = parse_cli_config(config_doc)
+    config, io = _read_config(args)
     data_path = args.data or io.data
     out_dir = args.out or io.out
-    label_column = args.label_column or io.label_column
     if data_path is None:
         raise ConfigError("no input data: pass --data or set 'data' in the config")
     if out_dir is None:
         raise ConfigError("no output directory: pass --out or set 'out' in the config")
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    data = ds.load_csv(data_path, label_column=label_column)
+    data = ds.load_csv(data_path, label_column=io.label_column)
     logger.info("loaded %d rows, %d features", data.n_samples, data.n_features)
     artifacts = pl.run(data, config)
     pl.save_artifacts(artifacts, out_dir)
@@ -149,8 +153,7 @@ def cmd_evaluate(args) -> int:
     predicted = np.asarray(predicted, dtype=np.int64)
     n_classes = int(max(data.labels.max(), predicted.max())) + 1
     report = mt.evaluate(data.labels, predicted, n_classes)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(mt.report_to_dict(report), fh, sort_keys=True, indent=1)
+    ds.write_json(args.out, mt.report_to_dict(report))
     if args.csv:
         mt.report_to_csv(report, args.csv)
     print(_metrics_line(report))
@@ -158,12 +161,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    config_doc = ds.read_json(args.config) if args.config else {}
-    config, io = parse_cli_config(config_doc)
-    label_column = args.label_column or io.label_column
+    config, io = _read_config(args)
     master = args.seed if args.seed is not None else config.seed
     umap_cfg = replace(config.umap, seed=master + pl.SEED_UMAP)
-    data = ds.load_csv(args.data, label_column=label_column)
+    data = ds.load_csv(args.data, label_column=io.label_column)
     standardized, _ = ds.standardize(data)
     _, embedding = um.embed(standardized.features, umap_cfg)
     um.embedding_to_csv(embedding.coordinates, data.labels, args.out)
@@ -172,10 +173,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_select(args) -> int:
-    config_doc = ds.read_json(args.config) if args.config else {}
-    config, io = parse_cli_config(config_doc)
-    label_column = args.label_column or io.label_column
-    data = ds.load_csv(args.data, label_column=label_column)
+    config, io = _read_config(args)
+    data = ds.load_csv(args.data, label_column=io.label_column)
     standardized, _ = ds.standardize(data)
     path, ranking, selected = ls.fit_selection(
         standardized.features,
@@ -186,8 +185,7 @@ def cmd_select(args) -> int:
     )
     os.makedirs(args.out, exist_ok=True)
     ls.path_to_csv(path, os.path.join(args.out, "lasso_path.csv"))
-    with open(os.path.join(args.out, "ranking.json"), "w", encoding="utf-8") as fh:
-        json.dump(ls.ranking_to_dict(ranking, selected), fh, sort_keys=True, indent=1)
+    ds.write_json(os.path.join(args.out, "ranking.json"), ls.ranking_to_dict(ranking, selected))
     print("ranking=" + ",".join(str(j) for j in ranking.order))
     return 0
 

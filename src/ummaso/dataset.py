@@ -1,7 +1,8 @@
 """Tabular dataset handling: the CSV table dialect shared by every table the
-package reads or writes, the one reader of JSON object files (configs and
-artifacts), CSV ingest, standardization, splitting, rebalancing, and
-synthetic generation of imbalanced class blobs for desk-scale experiments.
+package reads or writes, the one reader and the one writer of JSON object
+files (configs and artifacts), CSV ingest, standardization, splitting,
+rebalancing, and synthetic generation of imbalanced class blobs for
+desk-scale experiments.
 
 All operations are pure given their inputs and seed; returned datasets are
 never mutated afterwards.
@@ -181,18 +182,38 @@ def write_table(path: str, header: list[str], rows) -> None:
         writer.writerows([_format_cell(v) for v in row] for row in rows)
 
 
+class _JsonObject(dict):
+    """A JSON object read from `path`: indexing a missing key raises
+    DataFormatError naming the file and the key, not a bare KeyError."""
+
+    def __init__(self, path: str, pairs):
+        super().__init__(pairs)
+        self.path = path
+
+    def __missing__(self, key):
+        raise DataFormatError(f"{self.path}: missing key '{key}'")
+
+
 def read_json(path: str) -> dict:
     """Read a JSON file whose root is an object (a config or an artifact).
-    Invalid JSON and any other root raise DataFormatError naming the file;
-    missing files raise OSError."""
+    Invalid JSON and any other root raise DataFormatError naming the file, as
+    does indexing a key that an object in it lacks; missing files raise
+    OSError."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=lambda pairs: _JsonObject(path, pairs))
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: the JSON root must be an object")
     return doc
+
+
+def write_json(path: str, doc: dict) -> None:
+    """Write a JSON document in the package's one JSON layout: keys sorted,
+    indent 1."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
 
 
 def load_csv(path: str, label_column: str = "fertility") -> Dataset:

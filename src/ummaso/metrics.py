@@ -106,9 +106,9 @@ def report_to_dict(rep: MetricsReport) -> dict:
         "precision_macro": rep.precision_macro,
         "recall_macro": rep.recall_macro,
         "kappa": rep.kappa,
-        "precision_per_class": [float(v) for v in rep.precision_per_class],
-        "recall_per_class": [float(v) for v in rep.recall_per_class],
-        "confusion": [[int(v) for v in row] for row in rep.confusion.counts],
+        "precision_per_class": rep.precision_per_class.tolist(),
+        "recall_per_class": rep.recall_per_class.tolist(),
+        "confusion": rep.confusion.counts.tolist(),
         "empty_precision_classes": rep.empty_precision_classes,
         "empty_recall_classes": rep.empty_recall_classes,
         "kappa_degenerate": rep.kappa_degenerate,

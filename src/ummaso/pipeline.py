@@ -10,10 +10,9 @@ stage's settings does not reshuffle the others.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -39,7 +38,7 @@ SEED_OVERSAMPLE = 211
 SEED_UMAP = 307
 SEED_SARN = 401
 
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
 ARTIFACT_FILES = (
     "standardization.json",
@@ -54,6 +53,7 @@ ARTIFACT_FILES = (
 )
 
 HISTORY_COLUMNS = ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"]
+_GRAPH_FIELDS = fields(um.NeighborGraph)
 
 
 @dataclass
@@ -233,41 +233,25 @@ def transform_new(artifacts: PipelineArtifacts, X_new: np.ndarray) -> np.ndarray
     return _assemble(std, coords, artifacts.selected, artifacts.config.feature_mode)
 
 
-def _dump_json(doc, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-
-
 def save_artifacts(artifacts: PipelineArtifacts, out_dir: str) -> None:
-    """Write the artifacts directory (one file per stage output + manifest)."""
+    """Write the artifacts directory (one file per stage output + manifest).
+    graph.json holds each NeighborGraph field under its name, plus the
+    training points the out-of-sample embedding searches."""
     os.makedirs(out_dir, exist_ok=True)
     join = lambda name: os.path.join(out_dir, name)
 
-    _dump_json(
+    std = artifacts.standardization
+    ds.write_json(
+        join("standardization.json"),
         {
-            "means": [float(v) for v in artifacts.standardization.means],
-            "std_devs": [float(v) for v in artifacts.standardization.std_devs],
+            "means": std.means.tolist(),
+            "std_devs": std.std_devs.tolist(),
             "feature_names": artifacts.feature_names,
         },
-        join("standardization.json"),
     )
     if artifacts.graph is not None:
-        g = artifacts.graph
-        _dump_json(
-            {
-                "edges": um.graph_edges_json(g),
-                "rho": [float(v) for v in g.rho],
-                "sigma": [float(v) for v in g.sigma],
-                "sigma_converged": [bool(v) for v in g.sigma_converged],
-                "rho_degenerate": [bool(v) for v in g.rho_degenerate],
-                "neighbor_indices": [[int(v) for v in row] for row in g.neighbor_indices],
-                "neighbor_distances": [
-                    [float(v) for v in row] for row in g.neighbor_distances
-                ],
-                "points": [[float(v) for v in row] for row in artifacts.train_points],
-            },
-            join("graph.json"),
-        )
+        doc = {f.name: getattr(artifacts.graph, f.name).tolist() for f in _GRAPH_FIELDS}
+        ds.write_json(join("graph.json"), {**doc, "points": artifacts.train_points.tolist()})
     if artifacts.embedding is not None:
         um.embedding_to_csv(
             artifacts.embedding.coordinates, artifacts.train_labels, join("embedding.csv")
@@ -275,20 +259,21 @@ def save_artifacts(artifacts: PipelineArtifacts, out_dir: str) -> None:
     if artifacts.lasso_path is not None:
         ls.path_to_csv(artifacts.lasso_path, join("lasso_path.csv"))
     if artifacts.ranking is not None:
-        _dump_json(
+        ds.write_json(
+            join("selection.json"),
             {
                 **ls.ranking_to_dict(artifacts.ranking, artifacts.selected),
                 "selected_names": [artifacts.feature_names[j] for j in artifacts.selected],
             },
-            join("selection.json"),
         )
     nw.save_model(artifacts.model, join("model.json"))
     h = artifacts.history
     columns = (h.train_loss, h.train_accuracy, h.val_loss, h.val_accuracy)
     ds.write_table(join("history.csv"), HISTORY_COLUMNS, zip(range(len(h)), *columns))
-    _dump_json(mt.report_to_dict(artifacts.metrics_report), join("metrics.json"))
+    ds.write_json(join("metrics.json"), mt.report_to_dict(artifacts.metrics_report))
     emb = artifacts.embedding
-    _dump_json(
+    ds.write_json(
+        join("manifest.json"),
         {
             "manifest_version": MANIFEST_VERSION,
             "stages": artifacts.stages,
@@ -297,11 +282,8 @@ def save_artifacts(artifacts: PipelineArtifacts, out_dir: str) -> None:
             "feature_names": artifacts.feature_names,
             "class_names": artifacts.class_names,
             "embedding_final_loss": emb.final_loss if emb is not None else None,
-            "embedding_epoch_losses": (
-                [float(v) for v in emb.epoch_losses] if emb is not None else None
-            ),
+            "embedding_epoch_losses": emb.epoch_losses.tolist() if emb is not None else None,
         },
-        join("manifest.json"),
     )
 
 
@@ -341,24 +323,12 @@ def load_artifacts(out_dir: str) -> PipelineArtifacts:
     train_labels = np.zeros(0, dtype=np.int64)
     if config.uses_umap:
         g = ds.read_json(join("graph.json"))
-        edges = g["edges"]
-        graph = um.NeighborGraph(
-            neighbor_indices=np.asarray(g["neighbor_indices"], dtype=np.int64),
-            neighbor_distances=np.asarray(g["neighbor_distances"]),
-            rho=np.asarray(g["rho"]),
-            sigma=np.asarray(g["sigma"]),
-            sigma_converged=np.asarray(g["sigma_converged"], dtype=bool),
-            rho_degenerate=np.asarray(g["rho_degenerate"], dtype=bool),
-            edge_i=np.asarray([e["i"] for e in edges], dtype=np.int64),
-            edge_j=np.asarray([e["j"] for e in edges], dtype=np.int64),
-            edge_v=np.asarray([e["v"] for e in edges]),
-        )
+        # JSON ints, bools and floats parse back to int64, bool and float64
+        graph = um.NeighborGraph(**{f.name: np.asarray(g[f.name]) for f in _GRAPH_FIELDS})
         train_points = np.asarray(g["points"])
         coords, train_labels = load_embedding_csv(join("embedding.csv"))
         embedding = um.Embedding(
             coordinates=coords,
-            a=config.umap.a,
-            b=config.umap.b,
             final_loss=manifest["embedding_final_loss"],
             epoch_losses=np.asarray(manifest["embedding_epoch_losses"], dtype=np.float64),
         )

@@ -10,17 +10,20 @@ matrix is flattened through a tanh layer and a linear layer into class
 probabilities, trained with the symmetric (double) KL divergence plus an L2
 penalty. A softmax-regression head with weight decay is available as a
 standalone alternative on the raw features.
+
+A `SarnModel` holds fitted values only; `gradients` and `train` read the
+training hyper-parameters from `SarnSettings`, and `model.json` (format 2)
+stores no copy of them.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..dataset import read_json
+from ..dataset import read_json, write_json
 from ..errors import NumericalError
 from .conv import ConvSpec, FactorizedKernel, factorized_backward, factorized_forward
 
@@ -31,7 +34,7 @@ DKL_HEAD = "dkl_head"
 SOFTMAX_REG = "softmax_reg"
 DKL_PARAMS = ("P", "S", "Q", "w_pw", "s_vec", "h_t", "w_out", "v_out")
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 def stable_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -142,6 +145,10 @@ class SarnSettings:
             raise ValueError("hidden must be at least 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
+        if self.reg_lambda < 0:
+            raise ValueError("reg_lambda must be non-negative")
+        if not 0.0 <= self.label_smoothing < 1.0:
+            raise ValueError("label_smoothing must lie in [0, 1)")
         if self.mask_len is not None and self.mask_len < 1:
             raise ValueError(f"mask_len must be at least 1, got {self.mask_len}")
         # a spec at the narrowest width the kernel fits checks kernel_size, channels and rank
@@ -164,7 +171,8 @@ class TrainHistory:
 
 @dataclass
 class SarnModel:
-    """All trainable parameters plus the hyper-parameters baked at init time.
+    """All trainable parameters plus the attention mask length and the head
+    that predicts; the training hyper-parameters stay in `SarnSettings`.
 
     S/Q/P hold the factorized convolution, w_pw/s_vec/h_t the attention
     scoring, w_out/v_out the output head and theta the softmax-regression
@@ -181,9 +189,6 @@ class SarnModel:
     w_out: np.ndarray
     v_out: np.ndarray
     theta: np.ndarray
-    dropout_rate: float
-    reg_lambda: float
-    label_smoothing: float
     mask_len: int
     active_head: str
 
@@ -192,8 +197,6 @@ class SarnModel:
             raise ValueError(
                 f"mask_len must lie in [1, {self.spec.positions}], got {self.mask_len}"
             )
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
 
     @property
     def n_classes(self) -> int:
@@ -247,9 +250,6 @@ def init_model(
         w_out=rng.normal(0.0, 1.0 / np.sqrt(flat), size=(flat, hidden)),
         v_out=rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, n_classes)),
         theta=np.zeros((n_classes, feature_width + 1)),
-        dropout_rate=settings.dropout_rate,
-        reg_lambda=settings.reg_lambda,
-        label_smoothing=settings.label_smoothing,
         mask_len=positions if settings.mask_len is None else settings.mask_len,
         active_head=settings.loss_head,
     )
@@ -258,14 +258,14 @@ def init_model(
 def _forward(
     model: SarnModel,
     X: np.ndarray,
-    *,
-    training: bool = False,
     drop_mask: np.ndarray | None = None,
+    dropout_rate: float = 0.0,
 ) -> dict:
     """Batched forward pass through the DKL head; caches every intermediate.
 
-    drop_mask (batch x positions, True = dropped) only applies when training;
-    kept scores are rescaled by 1/(1 - rate).
+    With a drop_mask (batch x positions, True = dropped) and a positive
+    dropout_rate, dropped unmasked scores become 0 and kept ones are rescaled
+    by 1/(1 - dropout_rate); otherwise this is the evaluation pass.
     """
     spec = model.spec
     X = np.asarray(X, dtype=np.float64)
@@ -285,10 +285,8 @@ def _forward(
     pre[:, model.mask_len :] = -np.inf
     scale = np.zeros((B, spec.positions))
     scale[:, : model.mask_len] = 1.0
-    if training and model.dropout_rate > 0.0:
-        if drop_mask is None:
-            raise ValueError("training forward requires a dropout mask")
-        keep = 1.0 / (1.0 - model.dropout_rate)
+    if drop_mask is not None and dropout_rate > 0.0:
+        keep = 1.0 / (1.0 - dropout_rate)
         active = ~drop_mask
         pre[:, : model.mask_len] = np.where(
             active[:, : model.mask_len], pre[:, : model.mask_len] * keep, 0.0
@@ -330,22 +328,21 @@ def gradients(
     model: SarnModel,
     X: np.ndarray,
     labels: np.ndarray,
-    *,
-    head: str | None = None,
+    settings: SarnSettings,
     drop_mask: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss value and exact analytic gradients for every trainable parameter
-    of the selected head. A provided drop_mask is honored as-is, so finite
+    of `model.active_head`, with the L2 weight, label smoothing and dropout
+    rate of `settings`. A provided drop_mask is honored as-is, so finite
     difference checks can fix the dropout pattern (or omit it entirely)."""
-    head = head or model.active_head
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise ValueError("empty batch")
     B = X.shape[0]
-    lam = model.reg_lambda
+    lam = settings.reg_lambda
 
-    if head == SOFTMAX_REG:
+    if model.active_head == SOFTMAX_REG:
         Xa = np.hstack([X, np.ones((B, 1))])
         probs = stable_softmax(Xa @ model.theta.T, axis=1)
         onehot = np.zeros_like(probs)
@@ -356,10 +353,10 @@ def gradients(
         cost = softmax_reg_cost(X, labels, model.theta, lam)
         return cost, {"theta": grad + penalty_grad}
 
-    cache = _forward(model, X, training=drop_mask is not None, drop_mask=drop_mask)
+    cache = _forward(model, X, drop_mask, settings.dropout_rate)
     spec = model.spec
     n = spec.out_channels
-    targets = smooth_labels(labels, model.n_classes, model.label_smoothing)
+    targets = smooth_labels(labels, model.n_classes, settings.label_smoothing)
     probs = cache["probs"]
     total = loss(targets, probs, model.head_params(DKL_HEAD).values(), lam)
 
@@ -409,16 +406,20 @@ def gradients(
     return total, grads
 
 
-def _evaluate(model: SarnModel, X: np.ndarray, labels: np.ndarray, head: str) -> tuple[float, float]:
-    """Full-objective loss and accuracy in evaluation mode (no dropout)."""
+def _evaluate(
+    model: SarnModel, X: np.ndarray, labels: np.ndarray, settings: SarnSettings
+) -> tuple[float, float]:
+    """Full-objective loss and accuracy of `model.active_head` in evaluation
+    mode (no dropout)."""
     labels = np.asarray(labels, dtype=np.int64)
-    if head == SOFTMAX_REG:
-        cost = softmax_reg_cost(X, labels, model.theta, model.reg_lambda)
+    lam = settings.reg_lambda
+    if model.active_head == SOFTMAX_REG:
+        cost = softmax_reg_cost(X, labels, model.theta, lam)
         probs = np.atleast_2d(softmax_reg_forward(X, model.theta))
     else:
         probs = _forward(model, X)["probs"]
-        targets = smooth_labels(labels, model.n_classes, model.label_smoothing)
-        cost = loss(targets, probs, model.head_params(DKL_HEAD).values(), model.reg_lambda)
+        targets = smooth_labels(labels, model.n_classes, settings.label_smoothing)
+        cost = loss(targets, probs, model.head_params(DKL_HEAD).values(), lam)
     accuracy = float(np.mean(np.argmax(probs, axis=1) == labels))
     return cost, accuracy
 
@@ -461,14 +462,12 @@ def train(
         for batch_no, start in enumerate(range(0, n, settings.batch_size)):
             sel = order[start : start + settings.batch_size]
             drop = None
-            if settings.loss_head == DKL_HEAD and model.dropout_rate > 0.0:
-                drop = rng.random((sel.size, model.mask_len)) < model.dropout_rate
+            if settings.loss_head == DKL_HEAD and settings.dropout_rate > 0.0:
+                drop = rng.random((sel.size, model.mask_len)) < settings.dropout_rate
                 full = np.zeros((sel.size, model.spec.positions), dtype=bool)
                 full[:, : model.mask_len] = drop
                 drop = full
-            value, grads = gradients(
-                model, X_train[sel], y_train[sel], head=settings.loss_head, drop_mask=drop
-            )
+            value, grads = gradients(model, X_train[sel], y_train[sel], settings, drop)
             if not np.isfinite(value):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
@@ -478,10 +477,10 @@ def train(
         if epoch == epochs - 1 and settings.loss_head == DKL_HEAD:
             model.S[np.abs(model.S) < PRUNE_THRESHOLD] = 0.0
         history.train_loss[epoch], history.train_accuracy[epoch] = _evaluate(
-            model, X_train, y_train, settings.loss_head
+            model, X_train, y_train, settings
         )
         history.val_loss[epoch], history.val_accuracy[epoch] = _evaluate(
-            model, X_val, y_val, settings.loss_head
+            model, X_val, y_val, settings
         )
     return model, history
 
@@ -505,50 +504,33 @@ _ARRAY_FIELDS = ("P", "S", "Q", "w_pw", "s_vec", "h_t", "w_out", "v_out", "theta
 
 def model_to_dict(model: SarnModel) -> dict:
     """Versioned JSON-ready document: shape metadata plus flat row-major data."""
-    doc = {
+    arrays = {name: getattr(model, name) for name in _ARRAY_FIELDS}
+    return {
         "format_version": MODEL_FORMAT_VERSION,
         "active_head": model.active_head,
         "spec": asdict(model.spec),
-        "hyper": {
-            "dropout_rate": model.dropout_rate,
-            "reg_lambda": model.reg_lambda,
-            "label_smoothing": model.label_smoothing,
-            "mask_len": model.mask_len,
+        "mask_len": model.mask_len,
+        "params": {
+            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+            for name, arr in arrays.items()
         },
-        "params": {},
     }
-    for name in _ARRAY_FIELDS:
-        arr = getattr(model, name)
-        doc["params"][name] = {
-            "shape": list(arr.shape),
-            "data": [float(v) for v in arr.ravel(order="C")],
-        }
-    return doc
 
 
 def model_from_dict(doc: dict) -> SarnModel:
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {doc.get('format_version')}")
     spec = ConvSpec(**doc["spec"])
-    arrays = {}
-    for name in _ARRAY_FIELDS:
-        entry = doc["params"][name]
-        arrays[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-    hyper = doc["hyper"]
-    return SarnModel(
-        spec=spec,
-        dropout_rate=hyper["dropout_rate"],
-        reg_lambda=hyper["reg_lambda"],
-        label_smoothing=hyper["label_smoothing"],
-        mask_len=hyper["mask_len"],
-        active_head=doc["active_head"],
-        **arrays,
-    )
+    params = doc["params"]
+    arrays = {
+        name: np.asarray(params[name]["data"], dtype=np.float64).reshape(params[name]["shape"])
+        for name in _ARRAY_FIELDS
+    }
+    return SarnModel(spec=spec, mask_len=doc["mask_len"], active_head=doc["active_head"], **arrays)
 
 
 def save_model(model: SarnModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True)
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path: str) -> SarnModel:

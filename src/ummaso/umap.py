@@ -79,8 +79,8 @@ class NeighborGraph:
     Edges are stored as parallel arrays (edge_i[t] < edge_j[t]); every weight
     lies in [0, 1] (a clamped sigma can underflow a directed weight to 0; such
     an edge is kept). sigma_converged marks points whose bandwidth satisfied
-    the membership equation instead of being clamped; rho_degenerate marks
-    points whose neighborhood contained no positive distance (duplicates).
+    the membership equation instead of being clamped. The fields are the
+    whole fitted graph: graph.json stores each one under its field name.
     """
 
     neighbor_indices: np.ndarray
@@ -88,7 +88,6 @@ class NeighborGraph:
     rho: np.ndarray
     sigma: np.ndarray
     sigma_converged: np.ndarray
-    rho_degenerate: np.ndarray
     edge_i: np.ndarray
     edge_j: np.ndarray
     edge_v: np.ndarray
@@ -101,12 +100,15 @@ class NeighborGraph:
     def k(self) -> int:
         return self.neighbor_indices.shape[1]
 
+    @property
+    def rho_degenerate(self) -> np.ndarray:
+        """Points whose neighborhood contained no positive distance (duplicates)."""
+        return self.rho == 0.0
+
 
 @dataclass(frozen=True)
 class Embedding:
     coordinates: np.ndarray
-    a: float
-    b: float
     final_loss: float
     epoch_losses: np.ndarray
 
@@ -391,13 +393,7 @@ def optimize_layout(
         if config.epochs > 0
         else _edge_loss(coords, graph, config.a, config.b, config.eps)
     )
-    return Embedding(
-        coordinates=coords,
-        a=config.a,
-        b=config.b,
-        final_loss=float(final_loss),
-        epoch_losses=losses,
-    )
+    return Embedding(coordinates=coords, final_loss=float(final_loss), epoch_losses=losses)
 
 
 def build_graph(X: np.ndarray, config: UmapConfig) -> NeighborGraph:
@@ -405,7 +401,6 @@ def build_graph(X: np.ndarray, config: UmapConfig) -> NeighborGraph:
     indices, distances = build_knn(X, config.k)
     n = indices.shape[0]
     rho = compute_rho(distances)
-    rho_degenerate = rho == 0.0
     sigma = np.empty(n)
     converged = np.empty(n, dtype=bool)
     for i in range(n):
@@ -430,7 +425,6 @@ def build_graph(X: np.ndarray, config: UmapConfig) -> NeighborGraph:
         rho=rho,
         sigma=sigma,
         sigma_converged=converged,
-        rho_degenerate=rho_degenerate,
         edge_i=edge_i,
         edge_j=edge_j,
         edge_v=edge_v,
@@ -454,9 +448,3 @@ def embedding_to_csv(coords: np.ndarray, labels: np.ndarray, path: str) -> None:
     coords = np.asarray(coords, dtype=np.float64)
     header = [f"dim_{i}" for i in range(coords.shape[1])] + ["label"]
     write_table(path, header, ([*row, label] for row, label in zip(coords.tolist(), labels)))
-
-
-def graph_edges_json(graph: NeighborGraph) -> list[dict]:
-    """Debug export: the symmetrized edge list as {i, j, v} records."""
-    columns = (graph.edge_i.tolist(), graph.edge_j.tolist(), graph.edge_v.tolist())
-    return [{"i": i, "j": j, "v": v} for i, j, v in zip(*columns)]

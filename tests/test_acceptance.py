@@ -187,14 +187,14 @@ def test_criterion_06_sarn_gradient_check():
             rng = np.random.default_rng(1000 + seed)
             X = rng.normal(size=(4, 8))
             y = rng.integers(0, 3, size=4)
-            _, grads = nw.gradients(model, X, y)
+            _, grads = nw.gradients(model, X, y, settings)
 
             def loss_now():
                 cache = nw._forward(model, X)
-                targets = nw.smooth_labels(y, 3, model.label_smoothing)
+                targets = nw.smooth_labels(y, 3, settings.label_smoothing)
                 return nw.loss(
                     targets, cache["probs"],
-                    model.head_params(nw.DKL_HEAD).values(), model.reg_lambda,
+                    model.head_params(nw.DKL_HEAD).values(), settings.reg_lambda,
                 )
 
             for name, grad in grads.items():

@@ -19,6 +19,17 @@ FAST_CONFIG = {
 }
 
 
+# per JSON artifact, a key that `predict` cannot do without
+REQUIRED_KEYS = {
+    "standardization.json": "means",
+    "graph.json": "sigma",
+    "selection.json": "order",
+    "model.json": "params",
+    "metrics.json": "kappa",
+    "manifest.json": "config",
+}
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -293,6 +304,25 @@ class TestPredict:
         )
         assert code == 2 and stdout == ""
         assert err.startswith(f"error: {target}: ")
+
+    @pytest.mark.parametrize("name", [n for n in pl.ARTIFACT_FILES if n.endswith(".json")])
+    def test_json_artifact_missing_a_key_exits_2_naming_file_and_key(
+        self, workspace, tmp_path, capsys, name
+    ):
+        key = REQUIRED_KEYS[name]
+        _, data_csv, artifacts, _ = workspace
+        damaged = tmp_path / "artifacts"
+        shutil.copytree(artifacts, damaged)
+        target = damaged / name
+        doc = json.loads(target.read_text())
+        del doc[key]
+        target.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(
+            capsys, "predict", "--artifacts", str(damaged), "--data", data_csv,
+            "--out", str(tmp_path / "p.csv"),
+        )
+        assert code == 2 and stdout == ""
+        assert err == f"error: {target}: missing key '{key}'\n"
 
     def test_header_only_csv_exits_2(self, workspace, tmp_path, capsys):
         _, _, artifacts, _ = workspace

@@ -69,6 +69,9 @@ CASES = [
     ({"sarn": {"loss_head": "svm"}}, "sarn: unknown loss_head 'svm'"),
     ({"sarn": {"batch_size": 0}}, "sarn: batch_size must be at least 1"),
     ({"sarn": {"hidden": 0}}, "sarn: hidden must be at least 1"),
+    ({"sarn": {"label_smoothing": 1.0}}, "sarn: label_smoothing must lie in [0, 1)"),
+    ({"sarn": {"label_smoothing": -0.1}}, "sarn: label_smoothing must lie in [0, 1)"),
+    ({"sarn": {"reg_lambda": -1.0}}, "sarn: reg_lambda must be non-negative"),
 ]
 
 

@@ -1,6 +1,6 @@
 import copy
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -300,11 +300,21 @@ class TestArtifactsIO:
             out = str(tmp_path / f"artifacts_{run_no}")
             pl.save_artifacts(artifacts, out)
             loaded = pl.load_artifacts(out)
+
+            def same(a, b):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                np.testing.assert_array_equal(a, b)
+
+            for f in fields(um.NeighborGraph):
+                same(getattr(artifacts.graph, f.name), getattr(loaded.graph, f.name))
+            same(artifacts.train_points, loaded.train_points)
+            for name in nw._ARRAY_FIELDS:
+                same(getattr(artifacts.model, name), getattr(loaded.model, name))
+            assert loaded.model.mask_len == artifacts.model.mask_len
+            assert loaded.model.active_head == artifacts.model.active_head
             assert np.any(artifacts.lasso_path.intercepts != 0.0)
             for name in ("lambdas", "coef_matrix", "intercepts", "df", "mse", "converged"):
-                a, b = getattr(artifacts.lasso_path, name), getattr(loaded.lasso_path, name)
-                assert a.dtype == b.dtype
-                np.testing.assert_array_equal(a, b)
+                same(getattr(artifacts.lasso_path, name), getattr(loaded.lasso_path, name))
             assert artifacts.embedding.epoch_losses.size == artifacts.config.umap.epochs
             for name in ("coordinates", "epoch_losses"):
                 np.testing.assert_array_equal(
@@ -312,9 +322,7 @@ class TestArtifactsIO:
                 )
             assert loaded.embedding.final_loss == artifacts.embedding.final_loss
             for name in ("train_loss", "train_accuracy", "val_loss", "val_accuracy"):
-                a, b = getattr(artifacts.history, name), getattr(loaded.history, name)
-                assert a.dtype == b.dtype and a.shape == b.shape
-                np.testing.assert_array_equal(a, b)
+                same(getattr(artifacts.history, name), getattr(loaded.history, name))
 
     def test_metrics_json_deterministic_bytes(self, default_run, tmp_path):
         data, config, _ = default_run

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,29 +9,29 @@ from ummaso.errors import NumericalError
 from ummaso.sarn import network as nw
 
 
-def tiny_model(seed=7, dropout=0.0, reg=0.01, mask_len=None, width=8, classes=3):
-    return nw.init_model(
-        width,
-        classes,
-        nw.SarnSettings(
-            kernel_size=3,
-            channels=4,
-            rank=2,
-            hidden=8,
-            dropout_rate=dropout,
-            reg_lambda=reg,
-            label_smoothing=0.05,
-            mask_len=mask_len,
-        ),
-        seed=seed,
+def tiny_settings(dropout=0.0, reg=0.01, mask_len=None, head=nw.DKL_HEAD):
+    return nw.SarnSettings(
+        kernel_size=3,
+        channels=4,
+        rank=2,
+        hidden=8,
+        dropout_rate=dropout,
+        reg_lambda=reg,
+        label_smoothing=0.05,
+        mask_len=mask_len,
+        loss_head=head,
     )
 
 
-def dkl_loss_of(model, X, y):
+def tiny_model(seed=7, width=8, classes=3, **settings):
+    return nw.init_model(width, classes, tiny_settings(**settings), seed=seed)
+
+
+def dkl_loss_of(model, X, y, settings):
     cache = nw._forward(model, X)
-    targets = nw.smooth_labels(y, model.n_classes, model.label_smoothing)
+    targets = nw.smooth_labels(y, model.n_classes, settings.label_smoothing)
     return nw.loss(
-        targets, cache["probs"], model.head_params(nw.DKL_HEAD).values(), model.reg_lambda
+        targets, cache["probs"], model.head_params(nw.DKL_HEAD).values(), settings.reg_lambda
     )
 
 
@@ -74,9 +76,9 @@ def output_head_oracle(gated, w_out, v_out):
     return nw.stable_softmax(np.tanh(gated.reshape(-1) @ w_out) @ v_out)
 
 
-def attention_weights(model, seed, **kwargs):
+def attention_weights(model, seed, *drop):
     X = np.random.default_rng(seed).normal(size=(2, model.spec.width))
-    return nw._forward(model, X, **kwargs)["weights"]
+    return nw._forward(model, X, *drop)["weights"]
 
 
 class TestSparseAttention:
@@ -100,18 +102,17 @@ class TestSparseAttention:
         np.testing.assert_allclose(weights[:, :3].sum(axis=1), 1.0)
 
     def test_dropout_seeded_and_training_only(self):
-        model = tiny_model(dropout=0.5)
+        model = tiny_model()
         rng = np.random.default_rng(5)
         mask_a, mask_b = rng.random((2, 2, model.spec.positions)) < 0.5
-        eval_a = attention_weights(model, 6, drop_mask=mask_a)
-        eval_b = attention_weights(model, 6, drop_mask=mask_b)
-        np.testing.assert_array_equal(eval_a, eval_b)
-        train_a = attention_weights(model, 6, training=True, drop_mask=mask_a)
-        again = attention_weights(model, 6, training=True, drop_mask=mask_a)
-        np.testing.assert_array_equal(train_a, again)
-        assert not np.array_equal(train_a, eval_a)
-        with pytest.raises(ValueError, match="dropout mask"):
-            attention_weights(model, 6, training=True)
+        assert mask_a.any() and not np.array_equal(mask_a, mask_b)
+        evaluation = attention_weights(model, 6)
+        # a mask at rate 0 is the evaluation pass
+        np.testing.assert_array_equal(attention_weights(model, 6, mask_a, 0.0), evaluation)
+        train_a = attention_weights(model, 6, mask_a, 0.5)
+        np.testing.assert_array_equal(train_a, attention_weights(model, 6, mask_a, 0.5))
+        assert not np.array_equal(train_a, evaluation)
+        assert not np.array_equal(train_a, attention_weights(model, 6, mask_b, 0.5))
 
     def test_zero_mask_len_rejected(self):
         with pytest.raises(ValueError):
@@ -267,7 +268,8 @@ class TestGradients:
         rng = np.random.default_rng(13)
         X = rng.normal(size=(4, 8))
         y = rng.integers(0, 3, size=4)
-        _, grads = nw.gradients(model, X, y)
+        settings = tiny_settings()
+        _, grads = nw.gradients(model, X, y, settings)
         h = 1e-5
         for name, grad in grads.items():
             arr = getattr(model, name)
@@ -275,9 +277,9 @@ class TestGradients:
             for idx in range(0, flat.size, max(1, flat.size // 8)):
                 orig = flat[idx]
                 flat[idx] = orig + h
-                up = dkl_loss_of(model, X, y)
+                up = dkl_loss_of(model, X, y, settings)
                 flat[idx] = orig - h
-                down = dkl_loss_of(model, X, y)
+                down = dkl_loss_of(model, X, y, settings)
                 flat[idx] = orig
                 fd = (up - down) / (2 * h)
                 ga = grad.reshape(-1)[idx]
@@ -288,17 +290,19 @@ class TestGradients:
         rng = np.random.default_rng(14)
         X = rng.normal(size=(3, 8))
         y = rng.integers(0, 3, size=3)
-        _, grads = nw.gradients(model, X, y)
+        settings = tiny_settings(mask_len=2)
+        _, grads = nw.gradients(model, X, y, settings)
         # beyond the mask only the L2 term contributes
         np.testing.assert_allclose(
-            grads["s_vec"][2:], model.reg_lambda * model.s_vec[2:], atol=1e-15
+            grads["s_vec"][2:], settings.reg_lambda * model.s_vec[2:], atol=1e-15
         )
 
     def test_softmax_reg_zero_input_closed_form(self):
-        model = tiny_model(reg=0.0)
+        settings = tiny_settings(reg=0.0, head=nw.SOFTMAX_REG)
+        model = nw.init_model(8, 3, settings, seed=7)
         X = np.zeros((3, 8))
         y = np.array([0, 1, 2])
-        _, grads = nw.gradients(model, X, y, head=nw.SOFTMAX_REG)
+        _, grads = nw.gradients(model, X, y, settings)
         grad = grads["theta"]
         np.testing.assert_array_equal(grad[:, :-1], 0.0)
         # bias column: mean over batch of (uniform - one-hot)
@@ -306,26 +310,27 @@ class TestGradients:
         np.testing.assert_allclose(grad[:, -1], expect, atol=1e-15)
 
     def test_weight_decay_gradient_is_exactly_lambda_theta(self):
-        model = tiny_model(reg=0.0)
+        settings = tiny_settings(reg=0.0, head=nw.SOFTMAX_REG)
+        model = nw.init_model(8, 3, settings, seed=7)
         rng = np.random.default_rng(15)
         model.theta = rng.normal(size=model.theta.shape)
         X = rng.normal(size=(6, 8))
         y = rng.integers(0, 3, size=6)
-        _, base = nw.gradients(model, X, y, head=nw.SOFTMAX_REG)
-        model.reg_lambda = 0.25
-        _, decayed = nw.gradients(model, X, y, head=nw.SOFTMAX_REG)
+        _, base = nw.gradients(model, X, y, settings)
+        _, decayed = nw.gradients(model, X, y, replace(settings, reg_lambda=0.25))
         penalty = 0.25 * model.theta
         penalty[:, -1] = 0.0
         np.testing.assert_array_equal(decayed["theta"], base["theta"] + penalty)
 
     def test_fixed_dropout_mask_is_honored(self):
-        model = tiny_model(dropout=0.4)
+        settings = tiny_settings(dropout=0.4)
+        model = nw.init_model(8, 3, settings, seed=7)
         rng = np.random.default_rng(16)
         X = rng.normal(size=(2, 8))
         y = np.array([0, 1])
         mask = rng.random((2, model.spec.positions)) < 0.4
-        a = nw.gradients(model, X, y, drop_mask=mask)
-        b = nw.gradients(model, X, y, drop_mask=mask)
+        a = nw.gradients(model, X, y, settings, mask)
+        b = nw.gradients(model, X, y, settings, mask)
         assert a[0] == b[0]
         for name in a[1]:
             np.testing.assert_array_equal(a[1][name], b[1][name])
@@ -355,7 +360,7 @@ class TestTrain:
             kernel_size=2, channels=4, rank=2, hidden=8, dropout_rate=0.0, reg_lambda=1e-4
         )
         model = nw.init_model(3, 3, settings, seed=5)
-        cfg = nw.SarnSettings(epochs=120, learning_rate=0.2, batch_size=16)
+        cfg = replace(settings, epochs=120, learning_rate=0.2, batch_size=16)
         trained, history = nw.train((X, y), (X, y), model, cfg, seed=6)
         assert history.train_accuracy[-1] >= 0.95
         assert history.train_loss[9] < history.train_loss[0]
@@ -376,7 +381,7 @@ class TestTrain:
             kernel_size=2, channels=4, rank=2, hidden=8, dropout_rate=0.2
         )
         model = nw.init_model(3, 3, settings, seed=5)
-        cfg = nw.SarnSettings(epochs=15, learning_rate=0.1, batch_size=8)
+        cfg = replace(settings, epochs=15, learning_rate=0.1, batch_size=8)
         _, h1 = nw.train((X, y), (X, y), model, cfg, seed=42)
         _, h2 = nw.train((X, y), (X, y), model, cfg, seed=42)
         np.testing.assert_array_equal(h1.train_loss, h2.train_loss)
@@ -388,7 +393,7 @@ class TestTrain:
             kernel_size=2, channels=4, rank=2, hidden=8, dropout_rate=0.1
         )
         model = nw.init_model(3, 3, settings, seed=5)
-        cfg = nw.SarnSettings(epochs=25, learning_rate=0.1, batch_size=16)
+        cfg = replace(settings, epochs=25, learning_rate=0.1, batch_size=16)
         trained, history = nw.train((X, y), (X, y), model, cfg, seed=3)
         _, labels = nw.predict(trained, X)
         assert float(np.mean(labels == y)) == history.train_accuracy[-1]

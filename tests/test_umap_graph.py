@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,19 +231,6 @@ class TestBuildGraph:
         np.testing.assert_array_equal(graph.edge_j, edge_j)
         assert graph.edge_i.dtype == graph.edge_j.dtype == np.int64
         assert graph.edge_v.tobytes() == edge_v.tobytes()
-
-    def test_edges_json_matches_tuple_records(self):
-        graph = um.build_graph(underflow_points(), um.UmapConfig(k=5))
-        records = [
-            (int(i), int(j), float(v))
-            for i, j, v in zip(graph.edge_i, graph.edge_j, graph.edge_v)
-        ]
-        expect = [{"i": i, "j": j, "v": v} for i, j, v in records]
-        got = um.graph_edges_json(graph)
-        assert json.dumps(got, sort_keys=True, indent=1) == json.dumps(
-            expect, sort_keys=True, indent=1
-        )
-        assert [type(x) for r in got for x in r.values()] == [int, int, float] * len(got)
 
     def test_edge_weights_in_unit_interval(self):
         rng = np.random.default_rng(3)

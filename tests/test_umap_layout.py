@@ -14,7 +14,6 @@ def single_edge_graph(weight=1.0):
         rho=np.array([1.0, 1.0]),
         sigma=np.array([1.0, 1.0]),
         sigma_converged=np.array([True, True]),
-        rho_degenerate=np.array([False, False]),
         edge_i=np.array([0]),
         edge_j=np.array([1]),
         edge_v=np.array([weight]),
@@ -69,7 +68,6 @@ def two_clique_graph():
         rho=np.ones(4),
         sigma=np.ones(4),
         sigma_converged=np.ones(4, dtype=bool),
-        rho_degenerate=np.zeros(4, dtype=bool),
         edge_i=np.array([0, 2]),
         edge_j=np.array([1, 3]),
         edge_v=np.array([1.0, 1.0]),
