@@ -61,6 +61,7 @@ def _read_config(args) -> tuple[PipelineConfig, IoSettings]:
 
 
 def cmd_generate(args) -> int:
+    _, io = _read_config(args)
     try:
         per_class = [int(v) for v in args.per_class.split(",") if v != ""]
     except ValueError:
@@ -90,7 +91,7 @@ def cmd_generate(args) -> int:
         seed=args.seed if args.seed is not None else 0,
     )
     data = ds.synth_generate(config, feature_names, class_names)
-    ds.write_csv(data, args.out, label_column=args.label_column or IoSettings.label_column)
+    ds.write_csv(data, args.out, label_column=io.label_column)
     logger.info("wrote %d rows to %s", data.n_samples, args.out)
     print("per_class_counts=" + ",".join(str(int(c)) for c in data.class_counts()))
     return 0
@@ -130,7 +131,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    data = ds.load_csv(args.data, label_column=args.label_column or IoSettings.label_column)
+    _, io = _read_config(args)
+    data = ds.load_csv(args.data, label_column=io.label_column)
     header, rows = ds.read_table(args.predictions)
     if "predicted_label" not in header:
         raise DataFormatError(f"{args.predictions}: missing 'predicted_label' column")

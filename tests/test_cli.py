@@ -404,6 +404,30 @@ class TestEvaluate:
         assert code == 2
         assert f"{preds}: bad predicted_label at row 3" in err
 
+    def test_label_column_comes_from_the_config(self, tmp_path, capsys):
+        config = tmp_path / "klass.json"
+        config.write_text(json.dumps({"label_column": "klass"}))
+        data_csv = str(tmp_path / "klass.csv")
+        code, _, _ = run_cli(
+            capsys, "generate", "--per-class", "4,3,2", "--out", data_csv, "--config", str(config)
+        )
+        assert code == 0
+        header = Path(data_csv).read_text().splitlines()[0]
+        assert header == "N,P,K,pH,EC,klass"
+        preds = tmp_path / "preds.csv"
+        labels = [0] * 4 + [1] * 3 + [2] * 2
+        preds.write_text(
+            "row_index,predicted_label\n" + "".join(f"{r},{v}\n" for r, v in enumerate(labels))
+        )
+        args = ["evaluate", "--predictions", str(preds), "--data", data_csv]
+        code, _, err = run_cli(capsys, *args, "--out", str(tmp_path / "m.json"))
+        assert code == 2 and "missing label column 'fertility'" in err
+        code, stdout, _ = run_cli(
+            capsys, *args, "--out", str(tmp_path / "m.json"), "--config", str(config)
+        )
+        assert code == 0
+        assert "accuracy=1.0000" in stdout
+
 
 class TestReduceSelect:
     def test_reduce_emits_three_column_embedding(self, workspace, tmp_path, capsys):

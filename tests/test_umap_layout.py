@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from ummaso import dataset as ds
 from ummaso import umap as um
@@ -222,6 +225,84 @@ class TestSpectralInit:
         assert np.all(np.abs(coords) <= 10.0)
         rng = np.random.default_rng(11)
         np.testing.assert_array_equal(coords, rng.uniform(-10, 10, size=(4, 2)))
+
+
+def dense_laplacian(graph):
+    """Oracle: the symmetric-normalized Laplacian as a dense matrix."""
+    W = np.zeros((graph.n_points, graph.n_points))
+    W[graph.edge_i, graph.edge_j] = W[graph.edge_j, graph.edge_i] = graph.edge_v
+    inv_sqrt = 1.0 / np.sqrt(W.sum(axis=1))
+    return np.eye(graph.n_points) - inv_sqrt[:, None] * W * inv_sqrt[None, :]
+
+
+class TestSparseSpectralInit:
+    """Graphs above SPECTRAL_DENSE_MAX take the ARPACK path."""
+
+    N = um.SPECTRAL_DENSE_MAX + 100
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        rng = np.random.default_rng(5)
+        centers = rng.normal(0.0, 2.0, size=(3, 4))
+        X = centers[np.arange(self.N) % 3] + rng.normal(size=(self.N, 4))
+        return um.build_graph(X, um.UmapConfig(k=10))
+
+    @pytest.fixture(scope="class")
+    def two_blobs(self):
+        # no kNN edge crosses 100 standard deviations: zero has multiplicity 2
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(self.N, 3))
+        X[self.N // 2 :] += 100.0
+        return um.build_graph(X, um.UmapConfig(k=10))
+
+    def test_matches_dense_eigh(self, graph):
+        vals, vecs = um._sparse_eigs(graph, 2)
+        want_vals, want_vecs = scipy.linalg.eigh(dense_laplacian(graph), subset_by_index=(0, 2))
+        np.testing.assert_allclose(vals, want_vals, rtol=0, atol=1e-10)
+        overlap = np.linalg.svd(vecs.T @ want_vecs, compute_uv=False)
+        np.testing.assert_allclose(overlap, 1.0, rtol=0, atol=1e-8)
+
+    def test_disconnected_blobs_stay_apart(self, two_blobs):
+        half = self.N // 2
+        assert not np.any((two_blobs.edge_i < half) & (two_blobs.edge_j >= half))
+        vals, _ = um._sparse_eigs(two_blobs, 2)
+        np.testing.assert_allclose(vals[:2], 0.0, rtol=0, atol=1e-10)
+        coords = um.spectral_init(two_blobs, 2, seed=1)
+        assert np.all(np.isfinite(coords))
+        # the first kept column is the component indicator, not the trivial vector
+        signs = np.sign(coords[:, 0])
+        assert np.all(signs[:half] == signs[0]) and np.all(signs[half:] == -signs[0])
+        gap = np.linalg.norm(coords[:half].mean(axis=0) - coords[half:].mean(axis=0))
+        assert gap > 2.0
+
+    def test_no_convergence_falls_back_to_uniform(self, graph, monkeypatch, caplog):
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        def dense(*args, **kwargs):
+            raise AssertionError("dense solve above SPECTRAL_DENSE_MAX")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        monkeypatch.setattr(um, "_dense_eigs", dense)
+        with caplog.at_level(logging.DEBUG, logger="ummaso.umap"):
+            coords = um.spectral_init(graph, 2, seed=11)
+        rng = np.random.default_rng(11)
+        np.testing.assert_array_equal(coords, rng.uniform(-10, 10, size=(self.N, 2)))
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "sparse eigensolver failed" in warnings[0]
+        assert any("solver uniform" in r.getMessage() for r in caplog.records)
+
+    def test_reruns_bit_equal(self, graph):
+        np.testing.assert_array_equal(um.spectral_init(graph, 2, seed=3), um.spectral_init(graph, 2, seed=3))
+
+    def test_debug_log_names_solver_and_eigenvalues(self, graph, caplog):
+        with caplog.at_level(logging.DEBUG, logger="ummaso.umap"):
+            um.spectral_init(graph, 2, seed=0)
+            um.spectral_init(two_clique_graph(), 1, seed=0)
+        sparse, dense = [r.getMessage() for r in caplog.records]
+        assert "solver sparse" in sparse and "solver dense" in dense
+        vals, _ = um._sparse_eigs(graph, 2)
+        assert str(vals.tolist()) in sparse
 
 
 class TestOptimizeLayout:
