@@ -161,22 +161,29 @@ def validate(config: PipelineConfig, n_features: int, n_classes: int) -> None:
 
 
 def check_sarn(config: PipelineConfig, n_classes: int, width: int) -> None:
-    """Build the model the sarn stage would build at input width `width`;
-    raise ConfigError naming the keys if that fails. The checks that need no
-    width already ran when `SarnSettings` was constructed."""
+    """Raise ConfigError naming the keys if the sarn head cannot run at input
+    width `width`: `softmax_reg` needs one feature, and `dkl_head` the model
+    it would build. The checks that need no width already ran when
+    `SarnSettings` was constructed."""
     sarn = config.sarn
-    if width < sarn.kernel_size:
+    dkl_head = sarn.loss_head == nw.DKL_HEAD
+    if width < (sarn.kernel_size if dkl_head else 1):
         sources = []
         if config.uses_lasso:
             top_k = config.lasso.selection.strategy == "top_k"
             sources.append("lasso.selection.k" if top_k else "lasso.selection")
         if config.uses_umap:
             sources.append("umap.out_dim")
-        raise ConfigError(
-            f"'sarn.kernel_size' {sarn.kernel_size} exceeds the classifier input "
-            f"width {width} set by {' + '.join(sources)}"
+        needs = (
+            f"'sarn.kernel_size' {sarn.kernel_size} exceeds"
+            if dkl_head
+            else f"'sarn.loss_head' {sarn.loss_head} needs 1 feature, more than"
         )
-    try:
-        nw.init_model(width, n_classes, sarn, 0)
-    except ValueError as exc:
-        raise ConfigError(f"sarn: {exc}") from exc
+        raise ConfigError(
+            f"{needs} the classifier input width {width} set by {' + '.join(sources)}"
+        )
+    if dkl_head:
+        try:
+            nw.init_model(width, n_classes, sarn, 0)
+        except ValueError as exc:
+            raise ConfigError(f"sarn: {exc}") from exc

@@ -38,7 +38,7 @@ SEED_OVERSAMPLE = 211
 SEED_UMAP = 307
 SEED_SARN = 401
 
-MANIFEST_VERSION = 3
+MANIFEST_VERSION = 4
 
 ARTIFACT_FILES = (
     "standardization.json",
@@ -71,7 +71,7 @@ class PipelineArtifacts:
     lasso_path: ls.LassoPath | None
     ranking: ls.FeatureRanking | None
     selected: list[int] | None
-    model: nw.SarnModel
+    model: nw.Model
     history: nw.TrainHistory
     metrics_report: mt.MetricsReport
     timings: dict[str, float]

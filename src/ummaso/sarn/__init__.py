@@ -1,6 +1,8 @@
 """Sparse Attention Regression Network: factorized sparse convolution, masked
-attention gating, a tanh/softmax output head trained with a symmetric KL loss,
-and a standalone softmax-regression head with weight decay."""
+attention gating and a tanh/softmax output head trained with a symmetric KL
+loss (`SarnModel`), and a standalone softmax-regression head with weight decay
+(`SoftmaxRegModel`). `init_model` builds the one that `SarnSettings.loss_head`
+names."""
 
 from .conv import (
     ConvSpec,
@@ -17,6 +19,7 @@ from .conv import (
 from .network import (
     SarnModel,
     SarnSettings,
+    SoftmaxRegModel,
     TrainHistory,
     dkl,
     gradients,
@@ -39,6 +42,7 @@ __all__ = [
     "FactorizedKernel",
     "SarnModel",
     "SarnSettings",
+    "SoftmaxRegModel",
     "TrainHistory",
     "direct_conv",
     "dkl",

@@ -9,17 +9,19 @@ then softmaxed and used to gate the hidden matrix elementwise. The gated
 matrix is flattened through a tanh layer and a linear layer into class
 probabilities, trained with the symmetric (double) KL divergence plus an L2
 penalty. A softmax-regression head with weight decay is available as a
-standalone alternative on the raw features.
+standalone alternative on the same features.
 
-A `SarnModel` holds fitted values only; `gradients` and `train` read the
-training hyper-parameters from `SarnSettings`, and `model.json` (format 2)
-stores no copy of them.
+`init_model` builds the head `SarnSettings.loss_head` names, a `SarnModel` or
+a `SoftmaxRegModel`, and each holds its own head's fitted values only;
+`gradients` and `train` read the training hyper-parameters from
+`SarnSettings`, and `model.json` (format 3) stores no copy of them.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,7 +36,7 @@ DKL_HEAD = "dkl_head"
 SOFTMAX_REG = "softmax_reg"
 DKL_PARAMS = ("P", "S", "Q", "w_pw", "s_vec", "h_t", "w_out", "v_out")
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 def stable_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -114,10 +116,11 @@ def softmax_reg_cost(
 
 @dataclass(frozen=True)
 class SarnSettings:
-    """The `sarn` config section: network shape, regularization and training
-    schedule. Each default and each check that needs no input width is stated
-    here; `init_model` checks the rest (kernel and mask length against the
-    width) through `ConvSpec` and `SarnModel`."""
+    """The `sarn` config section: the head, network shape, regularization and
+    training schedule; `softmax_reg` reads only reg_lambda and the schedule.
+    Each default and each check that needs no input width is stated here; for
+    `dkl_head`, `init_model` checks the rest (kernel and mask length against
+    the width) through `ConvSpec` and `SarnModel`."""
 
     kernel_size: int = 3
     channels: int = 8
@@ -171,14 +174,14 @@ class TrainHistory:
 
 @dataclass
 class SarnModel:
-    """All trainable parameters plus the attention mask length and the head
-    that predicts; the training hyper-parameters stay in `SarnSettings`.
+    """The `dkl_head` network: its trainable parameters plus the attention
+    mask length; the training hyper-parameters stay in `SarnSettings`.
 
     S/Q/P hold the factorized convolution, w_pw/s_vec/h_t the attention
-    scoring, w_out/v_out the output head and theta the softmax-regression
-    head over the raw features.
+    scoring and w_out/v_out the output head.
     """
 
+    head: ClassVar[str] = DKL_HEAD
     spec: ConvSpec
     P: np.ndarray
     S: np.ndarray
@@ -188,9 +191,7 @@ class SarnModel:
     h_t: np.ndarray
     w_out: np.ndarray
     v_out: np.ndarray
-    theta: np.ndarray
     mask_len: int
-    active_head: str
 
     def __post_init__(self):
         if not 1 <= self.mask_len <= self.spec.positions:
@@ -206,22 +207,45 @@ class SarnModel:
     def feature_width(self) -> int:
         return self.spec.width
 
-    def head_params(self, head: str | None = None) -> dict[str, np.ndarray]:
-        head = head or self.active_head
-        if head == SOFTMAX_REG:
-            return {"theta": self.theta}
+    def head_params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in DKL_PARAMS}
+
+
+@dataclass
+class SoftmaxRegModel:
+    """The `softmax_reg` head: theta holds one row per class, the weights of
+    the features and then of a constant bias input."""
+
+    head: ClassVar[str] = SOFTMAX_REG
+    theta: np.ndarray
+
+    @property
+    def n_classes(self) -> int:
+        return self.theta.shape[0]
+
+    @property
+    def feature_width(self) -> int:
+        return self.theta.shape[1] - 1
+
+    def head_params(self) -> dict[str, np.ndarray]:
+        return {"theta": self.theta}
+
+
+Model = SarnModel | SoftmaxRegModel
 
 
 def init_model(
     feature_width: int, n_classes: int, settings: SarnSettings, seed: int
-) -> SarnModel:
-    """Seeded initialization in tabular mode (1 x width single-channel input).
+) -> Model:
+    """A zero theta for `softmax_reg`, else a seeded `SarnModel` in tabular
+    mode (1 x width single-channel input).
 
     The convolution starts from a dense random kernel pushed through the
     factorized representation (P = identity + 1e-2 noise, truncated SVD for
     S/Q), so training begins consistent with the factorization.
     """
+    if settings.loss_head == SOFTMAX_REG:
+        return SoftmaxRegModel(theta=np.zeros((n_classes, feature_width + 1)))
     kernel_size, channels, hidden = settings.kernel_size, settings.channels, settings.hidden
     spec = ConvSpec(
         height=1,
@@ -249,9 +273,7 @@ def init_model(
         h_t=rng.normal(0.0, 0.1, size=channels),
         w_out=rng.normal(0.0, 1.0 / np.sqrt(flat), size=(flat, hidden)),
         v_out=rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, n_classes)),
-        theta=np.zeros((n_classes, feature_width + 1)),
         mask_len=positions if settings.mask_len is None else settings.mask_len,
-        active_head=settings.loss_head,
     )
 
 
@@ -325,16 +347,16 @@ def _dkl_grad_wrt_probs(y: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def gradients(
-    model: SarnModel,
+    model: Model,
     X: np.ndarray,
     labels: np.ndarray,
     settings: SarnSettings,
     drop_mask: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss value and exact analytic gradients for every trainable parameter
-    of `model.active_head`, with the L2 weight, label smoothing and dropout
-    rate of `settings`. A provided drop_mask is honored as-is, so finite
-    difference checks can fix the dropout pattern (or omit it entirely)."""
+    of `model`, with the L2 weight, label smoothing and dropout rate of
+    `settings`. A provided drop_mask is honored as-is, so finite difference
+    checks can fix the dropout pattern (or omit it entirely)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
@@ -342,7 +364,7 @@ def gradients(
     B = X.shape[0]
     lam = settings.reg_lambda
 
-    if model.active_head == SOFTMAX_REG:
+    if isinstance(model, SoftmaxRegModel):
         Xa = np.hstack([X, np.ones((B, 1))])
         probs = stable_softmax(Xa @ model.theta.T, axis=1)
         onehot = np.zeros_like(probs)
@@ -358,7 +380,7 @@ def gradients(
     n = spec.out_channels
     targets = smooth_labels(labels, model.n_classes, settings.label_smoothing)
     probs = cache["probs"]
-    total = loss(targets, probs, model.head_params(DKL_HEAD).values(), lam)
+    total = loss(targets, probs, model.head_params().values(), lam)
 
     g_probs = _dkl_grad_wrt_probs(targets, probs) / B
     row_dot = np.sum(g_probs * probs, axis=1, keepdims=True)
@@ -407,19 +429,19 @@ def gradients(
 
 
 def _evaluate(
-    model: SarnModel, X: np.ndarray, labels: np.ndarray, settings: SarnSettings
+    model: Model, X: np.ndarray, labels: np.ndarray, settings: SarnSettings
 ) -> tuple[float, float]:
-    """Full-objective loss and accuracy of `model.active_head` in evaluation
-    mode (no dropout)."""
+    """Full-objective loss and accuracy of `model` in evaluation mode (no
+    dropout)."""
     labels = np.asarray(labels, dtype=np.int64)
     lam = settings.reg_lambda
-    if model.active_head == SOFTMAX_REG:
+    if isinstance(model, SoftmaxRegModel):
         cost = softmax_reg_cost(X, labels, model.theta, lam)
         probs = np.atleast_2d(softmax_reg_forward(X, model.theta))
     else:
         probs = _forward(model, X)["probs"]
         targets = smooth_labels(labels, model.n_classes, settings.label_smoothing)
-        cost = loss(targets, probs, model.head_params(DKL_HEAD).values(), lam)
+        cost = loss(targets, probs, model.head_params().values(), lam)
     accuracy = float(np.mean(np.argmax(probs, axis=1) == labels))
     return cost, accuracy
 
@@ -427,24 +449,28 @@ def _evaluate(
 def train(
     train_data: tuple[np.ndarray, np.ndarray],
     val_data: tuple[np.ndarray, np.ndarray],
-    model_init: SarnModel,
+    model_init: Model,
     settings: SarnSettings,
     seed: int,
-) -> tuple[SarnModel, TrainHistory]:
-    """Seeded mini-batch gradient descent on `settings`' schedule and
-    loss_head; no early stopping.
+) -> tuple[Model, TrainHistory]:
+    """Seeded mini-batch gradient descent on `settings`' schedule; no early
+    stopping. `settings.loss_head` must name `model_init`'s head.
 
     History rows are computed at the end of each epoch over the full train
     and validation sets in evaluation mode, so the final row matches what
-    predict() reproduces. Small S entries are pruned to exact zeros before
-    the final evaluation.
+    predict() reproduces. A `SarnModel` trains with dropout, and its small S
+    entries are pruned to exact zeros before the final evaluation.
     """
+    if settings.loss_head != model_init.head:
+        raise ValueError(
+            f"loss_head '{settings.loss_head}' cannot train a '{model_init.head}' model"
+        )
     X_train, y_train = train_data
     X_val, y_val = val_data
     X_train = np.asarray(X_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.int64)
     model = copy.deepcopy(model_init)
-    model.active_head = settings.loss_head
+    dkl_head = isinstance(model, SarnModel)
     epochs = settings.epochs
     history = TrainHistory(
         train_loss=np.zeros(epochs),
@@ -456,13 +482,13 @@ def train(
         return model, history
     rng = np.random.default_rng(seed)
     n = y_train.size
-    params = model.head_params(settings.loss_head)
+    params = model.head_params()
     for epoch in range(epochs):
         order = rng.permutation(n)
         for batch_no, start in enumerate(range(0, n, settings.batch_size)):
             sel = order[start : start + settings.batch_size]
             drop = None
-            if settings.loss_head == DKL_HEAD and settings.dropout_rate > 0.0:
+            if dkl_head and settings.dropout_rate > 0.0:
                 drop = rng.random((sel.size, model.mask_len)) < settings.dropout_rate
                 full = np.zeros((sel.size, model.spec.positions), dtype=bool)
                 full[:, : model.mask_len] = drop
@@ -474,7 +500,7 @@ def train(
                 )
             for name, grad in grads.items():
                 params[name] -= settings.learning_rate * grad
-        if epoch == epochs - 1 and settings.loss_head == DKL_HEAD:
+        if epoch == epochs - 1 and dkl_head:
             model.S[np.abs(model.S) < PRUNE_THRESHOLD] = 0.0
         history.train_loss[epoch], history.train_accuracy[epoch] = _evaluate(
             model, X_train, y_train, settings
@@ -485,53 +511,54 @@ def train(
     return model, history
 
 
-def predict(model: SarnModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def predict(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Class probabilities and argmax labels (ties go to the lowest index)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.feature_width:
         raise ValueError(
             f"feature width {X.shape[1]} does not match model width {model.feature_width}"
         )
-    if model.active_head == SOFTMAX_REG:
+    if isinstance(model, SoftmaxRegModel):
         probs = np.atleast_2d(softmax_reg_forward(X, model.theta))
     else:
         probs = _forward(model, X)["probs"]
     return probs, np.argmax(probs, axis=1)
 
 
-_ARRAY_FIELDS = ("P", "S", "Q", "w_pw", "s_vec", "h_t", "w_out", "v_out", "theta")
-
-
-def model_to_dict(model: SarnModel) -> dict:
-    """Versioned JSON-ready document: shape metadata plus flat row-major data."""
-    arrays = {name: getattr(model, name) for name in _ARRAY_FIELDS}
-    return {
-        "format_version": MODEL_FORMAT_VERSION,
-        "active_head": model.active_head,
-        "spec": asdict(model.spec),
-        "mask_len": model.mask_len,
-        "params": {
-            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-            for name, arr in arrays.items()
-        },
+def model_to_dict(model: Model) -> dict:
+    """Versioned JSON-ready document: the head's arrays as shape metadata plus
+    flat row-major data, and a `SarnModel`'s conv spec and mask length."""
+    doc = {"format_version": MODEL_FORMAT_VERSION, "active_head": model.head}
+    if isinstance(model, SarnModel):
+        doc.update(spec=asdict(model.spec), mask_len=model.mask_len)
+    doc["params"] = {
+        name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+        for name, arr in model.head_params().items()
     }
+    return doc
 
 
-def model_from_dict(doc: dict) -> SarnModel:
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {doc.get('format_version')}")
-    spec = ConvSpec(**doc["spec"])
+def model_from_dict(doc: dict) -> Model:
+    version = doc.get("format_version")
+    if version != MODEL_FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported model format version {version}; refit to write format "
+            f"{MODEL_FORMAT_VERSION}"
+        )
     params = doc["params"]
-    arrays = {
-        name: np.asarray(params[name]["data"], dtype=np.float64).reshape(params[name]["shape"])
-        for name in _ARRAY_FIELDS
-    }
-    return SarnModel(spec=spec, mask_len=doc["mask_len"], active_head=doc["active_head"], **arrays)
+
+    def array(name: str) -> np.ndarray:
+        return np.asarray(params[name]["data"], dtype=np.float64).reshape(params[name]["shape"])
+
+    if doc["active_head"] == SOFTMAX_REG:
+        return SoftmaxRegModel(theta=array("theta"))
+    arrays = {name: array(name) for name in DKL_PARAMS}
+    return SarnModel(spec=ConvSpec(**doc["spec"]), mask_len=doc["mask_len"], **arrays)
 
 
-def save_model(model: SarnModel, path: str) -> None:
+def save_model(model: Model, path: str) -> None:
     write_json(path, model_to_dict(model))
 
 
-def load_model(path: str) -> SarnModel:
+def load_model(path: str) -> Model:
     return model_from_dict(read_json(path))

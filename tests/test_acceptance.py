@@ -194,7 +194,7 @@ def test_criterion_06_sarn_gradient_check():
                 targets = nw.smooth_labels(y, 3, settings.label_smoothing)
                 return nw.loss(
                     targets, cache["probs"],
-                    model.head_params(nw.DKL_HEAD).values(), settings.reg_lambda,
+                    model.head_params().values(), settings.reg_lambda,
                 )
 
             for name, grad in grads.items():
@@ -253,11 +253,9 @@ def test_criterion_08_softmax_regression():
         Xs = np.vstack([c + 0.3 * rng.normal(size=(60, 3)) for c in centers])
         ys = np.repeat(np.arange(3), 60)
         Xs = (Xs - Xs.mean(axis=0)) / Xs.std(axis=0)
-        model = nw.init_model(
-            3, 3, nw.SarnSettings(kernel_size=2, channels=4, rank=2, hidden=8), seed=0
-        )
         cfg = nw.SarnSettings(epochs=200, learning_rate=0.5, batch_size=32,
                               loss_head=nw.SOFTMAX_REG)
+        model = nw.init_model(3, 3, cfg, seed=0)
         _, history = nw.train((Xs, ys), (Xs, ys), model, cfg, seed=1)
         assert history.train_accuracy[-1] >= 0.95
     ok(8, f"shift invariance <=1e-12, log C cost exact, separable accuracy "

@@ -151,6 +151,44 @@ class TestFit:
         assert "sarn.kernel_size" in err and "umap.out_dim" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"feature_mode": "embedding_only"},  # width 2, the default umap.out_dim
+            {"feature_mode": "selected_only", "lasso": {"selection": {"strategy": "top_k", "k": 2}}},
+            {"sarn": {"mask_len": 50}},
+        ],
+    )
+    def test_softmax_reg_runs_without_the_dkl_kernel_checks(
+        self, workspace, tmp_path, capsys, config
+    ):
+        # each config is narrower than sarn.kernel_size 3 or has more mask
+        # positions than the kernel leaves; softmax_reg uses neither
+        _, data_csv, _, _ = workspace
+        doc = dict(FAST_CONFIG, **config)
+        doc["sarn"] = dict(FAST_CONFIG["sarn"], **config.get("sarn", {}), loss_head=nw.SOFTMAX_REG)
+        path = tmp_path / "softmax.json"
+        path.write_text(json.dumps(doc))
+        first, again = tmp_path / "a", tmp_path / "b"
+        for out in (first, again):
+            code, stdout, err = run_cli(
+                capsys, "fit", "--data", data_csv, "--out", str(out), "--seed", "11",
+                "--config", str(path),
+            )
+            assert code == 0, err
+            assert "accuracy=" in stdout
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in again.iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (first / name).read_bytes() == (again / name).read_bytes(), name
+        assert list(json.loads((first / "model.json").read_text())["params"]) == ["theta"]
+        code, _, err = run_cli(
+            capsys, "predict", "--artifacts", str(first), "--data", data_csv,
+            "--out", str(tmp_path / "p.csv"),
+        )
+        assert code == 0, err
+
     def test_top_k_above_feature_count_exits_2_before_fitting(
         self, workspace, tmp_path, capsys
     ):

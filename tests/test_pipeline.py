@@ -67,10 +67,8 @@ class TestRun:
         np.testing.assert_array_equal(
             first.embedding.coordinates, second.embedding.coordinates
         )
-        for name in nw._ARRAY_FIELDS:
-            np.testing.assert_array_equal(
-                getattr(first.model, name), getattr(second.model, name)
-            )
+        for name, value in first.model.head_params().items():
+            np.testing.assert_array_equal(value, getattr(second.model, name))
         np.testing.assert_array_equal(
             first.history.train_loss, second.history.train_loss
         )
@@ -97,10 +95,8 @@ class TestRun:
         np.testing.assert_array_equal(
             other.lasso_path.coef_matrix, baseline.lasso_path.coef_matrix
         )
-        for name in nw._ARRAY_FIELDS:
-            np.testing.assert_array_equal(
-                getattr(other.model, name), getattr(baseline.model, name)
-            )
+        for name, value in baseline.model.head_params().items():
+            np.testing.assert_array_equal(getattr(other.model, name), value)
 
     def test_selected_only_ablation_skips_umap(self):
         data = soil_data(counts=(60, 30, 20), seed=3)
@@ -197,15 +193,22 @@ class TestFailFast:
         data = soil_data(counts=(30, 15, 10), seed=8)
         # the largest grid lambda keeps every coefficient at zero: width 0
         selection = SelectionStrategy("lambda_at", value=1e9)
-        config = quick_config(
-            feature_mode="selected_only", lasso=pl.LassoSettings(selection=selection)
-        )
-        with pytest.raises(StageError) as info:
-            pl.run(data, config)
-        assert info.value.stage == "features"
-        assert "lasso.selection" in str(info.value)
-        assert "sarn.kernel_size" in str(info.value)
-        assert "fit_path" in stage_calls and "train" not in stage_calls
+        for sarn, key in (
+            (pl.SarnSettings(), "sarn.kernel_size"),
+            (pl.SarnSettings(loss_head=nw.SOFTMAX_REG), "sarn.loss_head"),
+        ):
+            config = quick_config(
+                feature_mode="selected_only",
+                lasso=pl.LassoSettings(selection=selection),
+                sarn=sarn,
+            )
+            stage_calls.clear()
+            with pytest.raises(StageError) as info:
+                pl.run(data, config)
+            assert info.value.stage == "features"
+            assert "lasso.selection" in str(info.value)
+            assert key in str(info.value)
+            assert "fit_path" in stage_calls and "train" not in stage_calls
 
 
 def test_test_row_embedding_failure_maps_to_umap_stage(monkeypatch):
@@ -296,7 +299,9 @@ class TestArtifactsIO:
         # sarn.epochs 0 records no history, so its history.csv is header-only
         untrained = pl.run(data, replace(config, sarn=replace(config.sarn, epochs=0)))
         assert len(trained.history) == 40 and len(untrained.history) == 0
-        for run_no, artifacts in enumerate((trained, untrained)):
+        softmax_sarn = replace(config.sarn, loss_head=nw.SOFTMAX_REG)
+        softmax = pl.run(data, replace(config, sarn=softmax_sarn))
+        for run_no, artifacts in enumerate((trained, untrained, softmax)):
             out = str(tmp_path / f"artifacts_{run_no}")
             pl.save_artifacts(artifacts, out)
             loaded = pl.load_artifacts(out)
@@ -308,10 +313,11 @@ class TestArtifactsIO:
             for f in fields(um.NeighborGraph):
                 same(getattr(artifacts.graph, f.name), getattr(loaded.graph, f.name))
             same(artifacts.train_points, loaded.train_points)
-            for name in nw._ARRAY_FIELDS:
-                same(getattr(artifacts.model, name), getattr(loaded.model, name))
-            assert loaded.model.mask_len == artifacts.model.mask_len
-            assert loaded.model.active_head == artifacts.model.active_head
+            assert type(loaded.model) is type(artifacts.model)
+            for name, value in artifacts.model.head_params().items():
+                same(value, getattr(loaded.model, name))
+            if loaded.model.head == nw.DKL_HEAD:
+                assert loaded.model.mask_len == artifacts.model.mask_len
             assert np.any(artifacts.lasso_path.intercepts != 0.0)
             for name in ("lambdas", "coef_matrix", "intercepts", "df", "mse", "converged"):
                 same(getattr(artifacts.lasso_path, name), getattr(loaded.lasso_path, name))

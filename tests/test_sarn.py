@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ def dkl_loss_of(model, X, y, settings):
     cache = nw._forward(model, X)
     targets = nw.smooth_labels(y, model.n_classes, settings.label_smoothing)
     return nw.loss(
-        targets, cache["probs"], model.head_params(nw.DKL_HEAD).values(), settings.reg_lambda
+        targets, cache["probs"], model.head_params().values(), settings.reg_lambda
     )
 
 
@@ -367,13 +368,19 @@ class TestTrain:
 
     def test_learns_separable_data_with_softmax_head(self):
         X, y = separable_three_class(seed=18)
-        model = nw.init_model(
-            3, 3, nw.SarnSettings(kernel_size=2, channels=4, rank=2, hidden=8), seed=5
-        )
         cfg = nw.SarnSettings(epochs=200, learning_rate=0.5, batch_size=16,
                               loss_head=nw.SOFTMAX_REG)
+        model = nw.init_model(3, 3, cfg, seed=5)
         trained, history = nw.train((X, y), (X, y), model, cfg, seed=6)
         assert history.train_accuracy[-1] >= 0.95
+
+    @pytest.mark.parametrize("head", [nw.DKL_HEAD, nw.SOFTMAX_REG])
+    def test_mismatched_head_raises_naming_both(self, head):
+        other = nw.SOFTMAX_REG if head == nw.DKL_HEAD else nw.DKL_HEAD
+        model = nw.init_model(8, 3, tiny_settings(head=head), seed=7)
+        data = (np.zeros((6, 8)), np.zeros(6, dtype=int))
+        with pytest.raises(ValueError, match=f"'{other}' cannot train a '{head}' model"):
+            nw.train(data, data, model, tiny_settings(head=other), seed=0)
 
     def test_deterministic_history(self):
         X, y = separable_three_class(seed=19)
@@ -436,8 +443,8 @@ class TestPredict:
             nw.predict(tiny_model(), np.zeros((2, 5)))
 
     def test_argmax_tie_breaks_low_index(self):
-        model = tiny_model()
-        model.active_head = nw.SOFTMAX_REG  # zero theta gives exactly uniform rows
+        # the initial zero theta gives exactly uniform rows
+        model = nw.init_model(8, 3, tiny_settings(head=nw.SOFTMAX_REG), seed=7)
         probs, labels = nw.predict(model, np.zeros((2, 8)))
         np.testing.assert_array_equal(labels, 0)
 
@@ -445,25 +452,38 @@ class TestPredict:
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, tmp_path):
         X, y = separable_three_class(seed=24)
-        model = nw.init_model(
-            3, 3, nw.SarnSettings(kernel_size=2, channels=4, rank=2, hidden=8), seed=5
-        )
-        trained, _ = nw.train((X, y), (X, y), model,
-                              nw.SarnSettings(epochs=3, learning_rate=0.05, batch_size=16), seed=1)
-        path = str(tmp_path / "model.json")
-        nw.save_model(trained, path)
-        back = nw.load_model(path)
-        for name in nw._ARRAY_FIELDS:
-            np.testing.assert_array_equal(getattr(back, name), getattr(trained, name))
-        assert back.active_head == trained.active_head
-        assert back.mask_len == trained.mask_len
-        probs_a, _ = nw.predict(trained, X)
-        probs_b, _ = nw.predict(back, X)
-        np.testing.assert_array_equal(probs_a, probs_b)
+        for head, arrays in ((nw.DKL_HEAD, nw.DKL_PARAMS), (nw.SOFTMAX_REG, ("theta",))):
+            settings = nw.SarnSettings(
+                kernel_size=2, channels=4, rank=2, hidden=8, epochs=3, batch_size=16,
+                loss_head=head,
+            )
+            model = nw.init_model(3, 3, settings, seed=5)
+            trained, _ = nw.train((X, y), (X, y), model, settings, seed=1)
+            path = tmp_path / f"{head}.json"
+            nw.save_model(trained, str(path))
+            # each head stores its own arrays only: no theta beside the DKL
+            # network, nothing but theta for softmax_reg
+            assert sorted(json.loads(path.read_text())["params"]) == sorted(arrays)
+            back = nw.load_model(str(path))
+            assert type(back) is type(trained) and back.head == head
+            for name, value in trained.head_params().items():
+                np.testing.assert_array_equal(getattr(back, name), value)
+            if head == nw.DKL_HEAD:
+                assert back.mask_len == trained.mask_len and back.spec == trained.spec
+            probs_a, _ = nw.predict(trained, X)
+            probs_b, _ = nw.predict(back, X)
+            np.testing.assert_array_equal(probs_a, probs_b)
 
     def test_unknown_version_rejected(self):
         model = tiny_model()
         doc = nw.model_to_dict(model)
         doc["format_version"] = 99
         with pytest.raises(ValueError):
+            nw.model_from_dict(doc)
+
+    def test_format_2_rejected_with_refit_hint(self):
+        # format 2 stored theta and the conv state for both heads
+        doc = nw.model_to_dict(tiny_model())
+        doc["format_version"] = 2
+        with pytest.raises(ValueError, match="version 2; refit"):
             nw.model_from_dict(doc)
