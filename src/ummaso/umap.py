@@ -13,16 +13,12 @@ its repulsion one negative-sample column at a time, and scatters each with
 np.add.at. Like UMAP's parallel reference optimizer, it tolerates stale reads
 between edge updates; a chunk of one edge is the sequential per-edge update.
 
-The spectral init solves the symmetric-normalized Laplacian densely with
-LAPACK up to SPECTRAL_DENSE_MAX points and, above it, as a CSR matrix with
-ARPACK's Lanczos solver, as the reference UMAP does, so its memory grows with
-the edge count. On soil-schema graphs (k = 15, 2 vCPUs) the two cost the same
-near N = 400. ARPACK's fixed overhead loses on tiny graphs (2.4 ms against
-0.2 ms at N = 32), which are also the ones most often disconnected; at 1,024
-the dense solve takes 86 ms and 32 MiB against 12 ms and 1.4 MiB, and at 3,200
-2.2 s and 313 MiB against 0.05 s. The constant sits at 1,024, not at the
-crossover, so every fit of at most that many points (the README's 800-row
-default among them) keeps the outputs it had before the sparse solver.
+The spectral init solves the symmetric-normalized Laplacian at every graph
+size as a CSR matrix with ARPACK's Lanczos solver, as the reference UMAP
+does, so its memory grows with the edge count. ARPACK draws its start vector
+and every restart vector from a generator seeded with the UMAP seed:
+unseeded, a restart draws from OS entropy, and a graph with degenerate
+eigenvalues (a ring, say) gets a different basis on every call.
 
 Sign convention: attractive_gradient/repulsive_gradient return the descent
 step applied to a coordinate (the negative loss gradient), so the update is
@@ -35,7 +31,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import write_table
 from .errors import NumericalError
@@ -49,7 +44,6 @@ HAVE_NUMBA = False
 GRAD_CLIP = 4.0  # per-coordinate bound on a single gradient step
 KNN_BLOCK_ELEMENTS = 1 << 22  # float64 differences held per build_knn block
 LAYOUT_CHUNK = 512  # layout edges updated from one read of the coordinates
-SPECTRAL_DENSE_MAX = 1024  # spectral_init solves a dense Laplacian up to this many points
 
 
 @dataclass(frozen=True)
@@ -290,26 +284,15 @@ def repulsive_gradient(yi, yj, v_ij, a: float, b: float, eps: float) -> np.ndarr
     return _along(diff, d2, coef * (1.0 - v_ij))
 
 
-def _dense_eigs(graph: NeighborGraph, e: int) -> tuple[np.ndarray, np.ndarray]:
-    """The e+1 smallest eigenpairs of the Laplacian, from a dense N x N matrix."""
-    n = graph.n_points
-    weights = np.zeros((n, n))
-    weights[graph.edge_i, graph.edge_j] = graph.edge_v
-    weights[graph.edge_j, graph.edge_i] = graph.edge_v
-    degree = weights.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(np.maximum(degree, np.finfo(np.float64).tiny))
-    lap = np.eye(n) - inv_sqrt[:, None] * weights * inv_sqrt[None, :]
-    lap = 0.5 * (lap + lap.T)
-    return scipy.linalg.eigh(lap, subset_by_index=(0, e))
-
-
-def _sparse_eigs(graph: NeighborGraph, e: int) -> tuple[np.ndarray, np.ndarray]:
+def _sparse_eigs(graph: NeighborGraph, e: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The e+1 smallest eigenpairs of the Laplacian, by ARPACK on a CSR matrix.
 
     Each edge weight is scaled by one product inv_sqrt[i] * inv_sqrt[j], so
     the matrix is exactly symmetric. Pairs come back in ascending order.
     """
-    import scipy.sparse.linalg  # here, not at the top: 50 ms that predict never needs
+    # here, not at the top: predict never solves, and a cold import (which
+    # loads scipy.linalg) took 0.28-0.36 s on a shared 2-vCPU VM
+    import scipy.sparse.linalg
 
     n = graph.n_points
     i = np.concatenate([graph.edge_i, graph.edge_j])
@@ -319,7 +302,7 @@ def _sparse_eigs(graph: NeighborGraph, e: int) -> tuple[np.ndarray, np.ndarray]:
     inv_sqrt = 1.0 / np.sqrt(np.maximum(degree, np.finfo(np.float64).tiny))
     adjacency = scipy.sparse.csr_matrix((w * (inv_sqrt[i] * inv_sqrt[j]), (i, j)), shape=(n, n))
     lap = scipy.sparse.identity(n, format="csr") - adjacency
-    vals, vecs = scipy.sparse.linalg.eigsh(lap, k=e + 1, which="SM", v0=np.ones(n), maxiter=5 * n)
+    vals, vecs = scipy.sparse.linalg.eigsh(lap, k=e + 1, which="SM", maxiter=5 * n, rng=seed)
     order = np.argsort(vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]
     # A graph of m components has m zero eigenvalues and ARPACK returns any
@@ -338,13 +321,11 @@ def spectral_init(graph: NeighborGraph, e: int, seed: int) -> np.ndarray:
     """Initial coordinates from the symmetric-normalized graph Laplacian.
 
     Takes the e eigenvectors with the smallest non-trivial eigenvalues,
-    rescales to max-abs 10 and adds a seeded 1e-4 jitter to break ties. Up
-    to SPECTRAL_DENSE_MAX points LAPACK solves a dense Laplacian; above it,
-    ARPACK solves a CSR one (which="SM" from the all-ones vector, at most
-    5 N iterations). If the solver fails, the init falls back to seeded
-    uniform coordinates in [-10, 10] with a warning naming the solver, so no
-    dense matrix is built above the constant. The solver and the e + 1
-    eigenvalues are logged at debug level.
+    rescales to max-abs 10 and adds a seeded 1e-4 jitter to break ties.
+    ARPACK solves a CSR Laplacian (which="SM", at most 5 N iterations) from
+    its own generator, seeded with `seed`. If it fails, the init falls back
+    to seeded uniform coordinates in [-10, 10] with a warning. The solver
+    and the e + 1 eigenvalues are logged at debug level.
     """
     n = graph.n_points
     if n == 0:
@@ -352,14 +333,13 @@ def spectral_init(graph: NeighborGraph, e: int, seed: int) -> np.ndarray:
     if e >= n:
         raise ValueError(f"out_dim too large: need e < n_points, got e={e}, n={n}")
     rng = np.random.default_rng(seed)
-    solver = "dense" if n <= SPECTRAL_DENSE_MAX else "sparse"
     try:
-        vals, vecs = (_dense_eigs if solver == "dense" else _sparse_eigs)(graph, e)
+        vals, vecs = _sparse_eigs(graph, e, seed)
     except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:  # ARPACK raises RuntimeErrors
-        logger.warning("spectral init: %s eigensolver failed (%s); using uniform init", solver, exc)
+        logger.warning("spectral init: sparse eigensolver failed (%s); using uniform init", exc)
         logger.debug("spectral init: solver uniform, n=%d", n)
         return rng.uniform(-10.0, 10.0, size=(n, e))
-    logger.debug("spectral init: solver %s, n=%d, eigenvalues %s", solver, n, vals.tolist())
+    logger.debug("spectral init: solver sparse, n=%d, eigenvalues %s", n, vals.tolist())
     coords = vecs[:, 1 : e + 1].copy()
     peak = np.abs(coords).max()
     if peak > 0:

@@ -7,6 +7,7 @@ import scipy.sparse.linalg
 
 from ummaso import dataset as ds
 from ummaso import umap as um
+from ummaso.cli import SOIL_CENTERS, SOIL_NOISE_STD
 from ummaso.errors import NumericalError
 
 
@@ -74,6 +75,22 @@ def two_clique_graph():
         edge_i=np.array([0, 2]),
         edge_j=np.array([1, 3]),
         edge_v=np.array([1.0, 1.0]),
+    )
+
+
+def ring_graph(n):
+    # a 2-regular cycle: every eigenvalue but the extremes is a degenerate pair,
+    # so ARPACK's result depends on the vectors it starts and restarts from
+    idx = np.arange(n)
+    return um.NeighborGraph(
+        neighbor_indices=np.column_stack([(idx - 1) % n, (idx + 1) % n]),
+        neighbor_distances=np.ones((n, 2)),
+        rho=np.ones(n),
+        sigma=np.ones(n),
+        sigma_converged=np.ones(n, dtype=bool),
+        edge_i=np.append(idx[:-1], 0),
+        edge_j=np.append(idx[1:], n - 1),
+        edge_v=np.ones(n),
     )
 
 
@@ -219,7 +236,7 @@ class TestSpectralInit:
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("no convergence")
 
-        monkeypatch.setattr(scipy.linalg, "eigh", boom)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", boom)
         coords = um.spectral_init(two_clique_graph(), 2, seed=11)
         assert coords.shape == (4, 2)
         assert np.all(np.abs(coords) <= 10.0)
@@ -236,9 +253,9 @@ def dense_laplacian(graph):
 
 
 class TestSparseSpectralInit:
-    """Graphs above SPECTRAL_DENSE_MAX take the ARPACK path."""
+    """ARPACK on the CSR Laplacian against dense oracles."""
 
-    N = um.SPECTRAL_DENSE_MAX + 100
+    N = 1124
 
     @pytest.fixture(scope="class")
     def graph(self):
@@ -256,16 +273,19 @@ class TestSparseSpectralInit:
         return um.build_graph(X, um.UmapConfig(k=10))
 
     def test_matches_dense_eigh(self, graph):
-        vals, vecs = um._sparse_eigs(graph, 2)
-        want_vals, want_vecs = scipy.linalg.eigh(dense_laplacian(graph), subset_by_index=(0, 2))
-        np.testing.assert_allclose(vals, want_vals, rtol=0, atol=1e-10)
-        overlap = np.linalg.svd(vecs.T @ want_vecs, compute_uv=False)
-        np.testing.assert_allclose(overlap, 1.0, rtol=0, atol=1e-8)
+        soil = ds.synth_generate(ds.SynthConfig([40, 24, 16], SOIL_CENTERS, SOIL_NOISE_STD, seed=2))
+        small = um.build_graph(ds.standardize(soil)[0].features, um.UmapConfig())
+        for g in (graph, small):
+            vals, vecs = um._sparse_eigs(g, 2, seed=0)
+            want_vals, want_vecs = scipy.linalg.eigh(dense_laplacian(g), subset_by_index=(0, 2))
+            np.testing.assert_allclose(vals, want_vals, rtol=0, atol=1e-10)
+            overlap = np.linalg.svd(vecs.T @ want_vecs, compute_uv=False)
+            np.testing.assert_allclose(overlap, 1.0, rtol=0, atol=1e-8)
 
     def test_disconnected_blobs_stay_apart(self, two_blobs):
         half = self.N // 2
         assert not np.any((two_blobs.edge_i < half) & (two_blobs.edge_j >= half))
-        vals, _ = um._sparse_eigs(two_blobs, 2)
+        vals, _ = um._sparse_eigs(two_blobs, 2, seed=1)
         np.testing.assert_allclose(vals[:2], 0.0, rtol=0, atol=1e-10)
         coords = um.spectral_init(two_blobs, 2, seed=1)
         assert np.all(np.isfinite(coords))
@@ -279,11 +299,7 @@ class TestSparseSpectralInit:
         def no_convergence(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
 
-        def dense(*args, **kwargs):
-            raise AssertionError("dense solve above SPECTRAL_DENSE_MAX")
-
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-        monkeypatch.setattr(um, "_dense_eigs", dense)
         with caplog.at_level(logging.DEBUG, logger="ummaso.umap"):
             coords = um.spectral_init(graph, 2, seed=11)
         rng = np.random.default_rng(11)
@@ -293,16 +309,17 @@ class TestSparseSpectralInit:
         assert any("solver uniform" in r.getMessage() for r in caplog.records)
 
     def test_reruns_bit_equal(self, graph):
-        np.testing.assert_array_equal(um.spectral_init(graph, 2, seed=3), um.spectral_init(graph, 2, seed=3))
+        for g in (graph, ring_graph(1100)):
+            np.testing.assert_array_equal(um.spectral_init(g, 2, seed=3), um.spectral_init(g, 2, seed=3))
 
     def test_debug_log_names_solver_and_eigenvalues(self, graph, caplog):
         with caplog.at_level(logging.DEBUG, logger="ummaso.umap"):
             um.spectral_init(graph, 2, seed=0)
             um.spectral_init(two_clique_graph(), 1, seed=0)
-        sparse, dense = [r.getMessage() for r in caplog.records]
-        assert "solver sparse" in sparse and "solver dense" in dense
-        vals, _ = um._sparse_eigs(graph, 2)
-        assert str(vals.tolist()) in sparse
+        large, small = [r.getMessage() for r in caplog.records]
+        assert "solver sparse" in large and "solver sparse" in small
+        vals, _ = um._sparse_eigs(graph, 2, seed=0)
+        assert str(vals.tolist()) in large
 
 
 class TestOptimizeLayout:
