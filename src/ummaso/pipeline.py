@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -64,8 +65,11 @@ class PipelineArtifacts:
     feature_names: list[str]
     class_names: list[str]
     standardization: ds.StandardizationParams
-    train_points: np.ndarray  # standardized (post-balance) training features
-    train_labels: np.ndarray
+    # standardized (post-balance) training rows and their labels, which the
+    # out-of-sample embedding reads; train_points is None without UMAP, and
+    # train_labels too once reloaded, as no artifact stores them then
+    train_points: np.ndarray | None
+    train_labels: np.ndarray | None
     graph: um.NeighborGraph | None
     embedding: um.Embedding | None
     lasso_path: ls.LassoPath | None
@@ -121,51 +125,39 @@ def run(data: ds.Dataset, config: PipelineConfig) -> PipelineArtifacts:
     timings: dict[str, float] = {}
     stages: list[str] = []
 
-    def stage(name: str, fn):
+    @contextmanager
+    def stage(name: str):
         start = time.perf_counter()
         try:
-            result = fn()
+            yield
         except Exception as exc:
             raise StageError(name, exc) from exc
         timings[name] = time.perf_counter() - start
         stages.append(name)
-        return result
 
-    train, test = stage(
-        "split",
-        lambda: ds.stratified_split(
-            data, ds.SplitSpec(config.train_fraction, config.seed + SEED_SPLIT)
-        ),
-    )
+    with stage("split"):
+        split = ds.SplitSpec(config.train_fraction, config.seed + SEED_SPLIT)
+        train, test = ds.stratified_split(data, split)
 
-    def run_standardize():
-        train_std, params = ds.standardize(train)
-        return train_std, params, ds.apply_standardization(test.features, params)
-
-    train_std, std_params, test_features = stage("standardize", run_standardize)
+    with stage("standardize"):
+        train_std, std_params = ds.standardize(train)
+        test_features = ds.apply_standardization(test.features, std_params)
 
     if config.balance == "oversample":
-        train_std = stage(
-            "balance", lambda: ds.oversample(train_std, config.seed + SEED_OVERSAMPLE)
-        )
+        with stage("balance"):
+            train_std = ds.oversample(train_std, config.seed + SEED_OVERSAMPLE)
 
-    graph = embedding = None
-    test_coords = None
+    graph = embedding = test_coords = None
     if config.uses_umap:
         umap_cfg = replace(config.umap, seed=config.seed + SEED_UMAP)
-
-        def run_umap():
+        with stage("umap"):
             graph, embedding = um.embed(train_std.features, umap_cfg)
-            coords = _embed_new(test_features, graph, embedding, train_std.features)
-            return graph, embedding, coords
-
-        graph, embedding, test_coords = stage("umap", run_umap)
+            test_coords = _embed_new(test_features, graph, embedding, train_std.features)
 
     path = ranking = selected = None
     if config.uses_lasso:
-
-        def run_lasso():
-            return ls.fit_selection(
+        with stage("lasso"):
+            path, ranking, selected = ls.fit_selection(
                 train_std.features,
                 train_std.labels,
                 train_std.feature_names,
@@ -173,38 +165,30 @@ def run(data: ds.Dataset, config: PipelineConfig) -> PipelineArtifacts:
                 config.lasso.selection,
             )
 
-        path, ranking, selected = stage("lasso", run_lasso)
-
-    def run_features():
+    with stage("features"):
         mode = config.feature_mode
         train_coords = embedding.coordinates if embedding is not None else None
         train_feats = _assemble(train_std.features, train_coords, selected, mode)
         check_sarn(config, data.n_classes, train_feats.shape[1])
-        return train_feats, _assemble(test_features, test_coords, selected, mode)
+        test_feats = _assemble(test_features, test_coords, selected, mode)
 
-    train_feats, test_feats = stage("features", run_features)
-
-    def run_sarn():
+    with stage("sarn"):
         seed = config.seed + SEED_SARN
         model = nw.init_model(train_feats.shape[1], data.n_classes, config.sarn, seed)
-        return nw.train(
+        model, history = nw.train(
             (train_feats, train_std.labels), (test_feats, test.labels), model, config.sarn, seed
         )
 
-    model, history = stage("sarn", run_sarn)
-
-    def run_metrics():
+    with stage("metrics"):
         _, pred = nw.predict(model, test_feats)
-        return mt.evaluate(test.labels, pred, data.n_classes)
-
-    report = stage("metrics", run_metrics)
+        report = mt.evaluate(test.labels, pred, data.n_classes)
 
     return PipelineArtifacts(
         config=config,
         feature_names=list(data.feature_names),
         class_names=list(data.class_names),
         standardization=std_params,
-        train_points=train_std.features,
+        train_points=train_std.features if config.uses_umap else None,
         train_labels=train_std.labels,
         graph=graph,
         embedding=embedding,
@@ -318,9 +302,7 @@ def load_artifacts(out_dir: str) -> PipelineArtifacts:
     std = ds.StandardizationParams(
         means=np.asarray(std_doc["means"]), std_devs=np.asarray(std_doc["std_devs"])
     )
-    graph = embedding = None
-    train_points = np.zeros((0, len(std_doc["feature_names"])))
-    train_labels = np.zeros(0, dtype=np.int64)
+    graph = embedding = train_points = train_labels = None
     if config.uses_umap:
         g = ds.read_json(join("graph.json"))
         # JSON ints, bools and floats parse back to int64, bool and float64

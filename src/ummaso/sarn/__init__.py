@@ -5,7 +5,6 @@ loss (`SarnModel`), and a standalone softmax-regression head with weight decay
 names."""
 
 from .conv import (
-    ConvSpec,
     FactorizedKernel,
     direct_conv,
     factorize_kernel,
@@ -38,7 +37,6 @@ from .network import (
 )
 
 __all__ = [
-    "ConvSpec",
     "FactorizedKernel",
     "SarnModel",
     "SarnSettings",

@@ -20,51 +20,6 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 
-@dataclass(frozen=True)
-class ConvSpec:
-    """Input geometry and kernel sizes; height 1 selects tabular 1 x s kernels."""
-
-    height: int
-    width: int
-    channels: int
-    kernel_size: int
-    out_channels: int
-    rank: int
-
-    def __post_init__(self):
-        if self.kernel_size < 1 or self.out_channels < 1 or self.channels < 1:
-            raise ValueError("kernel_size, channels and out_channels must be positive")
-        if self.height != 1 and self.height < self.kernel_size:
-            raise ValueError("input height must be 1 (tabular) or at least kernel_size")
-        if self.width < self.kernel_size:
-            raise ValueError("input width must be at least kernel_size")
-        if not 1 <= self.rank <= min(self.patch_size, self.out_channels):
-            raise ValueError(
-                f"rank must lie in [1, min(patch={self.patch_size}, "
-                f"n={self.out_channels})], got {self.rank}"
-            )
-
-    @property
-    def kernel_height(self) -> int:
-        return 1 if self.height == 1 else self.kernel_size
-
-    @property
-    def patch_size(self) -> int:
-        return self.kernel_height * self.kernel_size
-
-    @property
-    def out_height(self) -> int:
-        return self.height - self.kernel_height + 1
-
-    @property
-    def out_width(self) -> int:
-        return self.width - self.kernel_size + 1
-
-    @property
-    def positions(self) -> int:
-        return self.out_height * self.out_width
-
-
 def _windows(I: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """Read-only view of the sliding patches of I (..., H, W, m), shaped
     (..., H-kh+1, W-kw+1, m, kh, kw). Built with as_strided because

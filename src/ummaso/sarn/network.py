@@ -14,20 +14,20 @@ standalone alternative on the same features.
 `init_model` builds the head `SarnSettings.loss_head` names, a `SarnModel` or
 a `SoftmaxRegModel`, and each holds its own head's fitted values only;
 `gradients` and `train` read the training hyper-parameters from
-`SarnSettings`, and `model.json` (format 3) stores no copy of them.
+`SarnSettings`, and `model.json` (format 4) stores no copy of them.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from ..dataset import read_json, write_json
 from ..errors import NumericalError
-from .conv import ConvSpec, FactorizedKernel, factorized_backward, factorized_forward
+from .conv import FactorizedKernel, factorized_backward, factorized_forward
 
 PROB_CLAMP = 1e-12  # lower bound on probabilities inside KL terms
 PRUNE_THRESHOLD = 1e-3  # |S| entries below this are zeroed after training
@@ -36,7 +36,7 @@ DKL_HEAD = "dkl_head"
 SOFTMAX_REG = "softmax_reg"
 DKL_PARAMS = ("P", "S", "Q", "w_pw", "s_vec", "h_t", "w_out", "v_out")
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 
 def stable_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -119,8 +119,8 @@ class SarnSettings:
     """The `sarn` config section: the head, network shape, regularization and
     training schedule; `softmax_reg` reads only reg_lambda and the schedule.
     Each default and each check that needs no input width is stated here; for
-    `dkl_head`, `init_model` checks the rest (kernel and mask length against
-    the width) through `ConvSpec` and `SarnModel`."""
+    `dkl_head`, `init_model` and `SarnModel` check the rest (kernel and mask
+    length against the width)."""
 
     kernel_size: int = 3
     channels: int = 8
@@ -154,11 +154,14 @@ class SarnSettings:
             raise ValueError("label_smoothing must lie in [0, 1)")
         if self.mask_len is not None and self.mask_len < 1:
             raise ValueError(f"mask_len must be at least 1, got {self.mask_len}")
-        # a spec at the narrowest width the kernel fits checks kernel_size, channels and rank
-        k = self.kernel_size
-        ConvSpec(
-            height=1, width=k, channels=1, kernel_size=k, out_channels=self.channels, rank=self.rank
-        )
+        if self.kernel_size < 1 or self.channels < 1:
+            raise ValueError("kernel_size, channels and out_channels must be positive")
+        # a 1 x kernel_size kernel has kernel_size entries per output channel
+        if not 1 <= self.rank <= min(self.kernel_size, self.channels):
+            raise ValueError(
+                f"rank must lie in [1, min(patch={self.kernel_size}, "
+                f"n={self.channels})], got {self.rank}"
+            )
 
 
 @dataclass
@@ -178,11 +181,11 @@ class SarnModel:
     mask length; the training hyper-parameters stay in `SarnSettings`.
 
     S/Q/P hold the factorized convolution, w_pw/s_vec/h_t the attention
-    scoring and w_out/v_out the output head.
+    scoring and w_out/v_out the output head. The arrays fix the shape: one
+    s_vec entry per position the kernel slides to, one h_t entry per channel.
     """
 
     head: ClassVar[str] = DKL_HEAD
-    spec: ConvSpec
     P: np.ndarray
     S: np.ndarray
     Q: np.ndarray
@@ -194,18 +197,20 @@ class SarnModel:
     mask_len: int
 
     def __post_init__(self):
-        if not 1 <= self.mask_len <= self.spec.positions:
-            raise ValueError(
-                f"mask_len must lie in [1, {self.spec.positions}], got {self.mask_len}"
-            )
+        if not 1 <= self.mask_len <= self.positions:
+            raise ValueError(f"mask_len must lie in [1, {self.positions}], got {self.mask_len}")
 
     @property
     def n_classes(self) -> int:
         return self.v_out.shape[1]
 
     @property
+    def positions(self) -> int:
+        return self.s_vec.size
+
+    @property
     def feature_width(self) -> int:
-        return self.spec.width
+        return self.positions + self.Q.shape[2] - 1
 
     def head_params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in DKL_PARAMS}
@@ -247,24 +252,15 @@ def init_model(
     if settings.loss_head == SOFTMAX_REG:
         return SoftmaxRegModel(theta=np.zeros((n_classes, feature_width + 1)))
     kernel_size, channels, hidden = settings.kernel_size, settings.channels, settings.hidden
-    spec = ConvSpec(
-        height=1,
-        width=feature_width,
-        channels=1,
-        kernel_size=kernel_size,
-        out_channels=channels,
-        rank=settings.rank,
-    )
+    if feature_width < kernel_size:
+        raise ValueError("input width must be at least kernel_size")
     rng = np.random.default_rng(seed)
-    kernel = rng.normal(
-        0.0, 1.0 / np.sqrt(spec.patch_size), size=(spec.kernel_height, kernel_size, 1, channels)
-    )
+    kernel = rng.normal(0.0, 1.0 / np.sqrt(kernel_size), size=(1, kernel_size, 1, channels))
     P = np.eye(1) + 1e-2 * rng.normal(size=(1, 1))
     fk = FactorizedKernel.from_kernel(kernel, P, settings.rank)
-    positions = spec.positions
+    positions = feature_width - kernel_size + 1
     flat = positions * channels
     return SarnModel(
-        spec=spec,
         P=fk.P,
         S=fk.S,
         Q=fk.Q,
@@ -285,35 +281,32 @@ def _forward(
 ) -> dict:
     """Batched forward pass through the DKL head; caches every intermediate.
 
-    With a drop_mask (batch x positions, True = dropped) and a positive
+    With a drop_mask (batch x mask_len, True = dropped) and a positive
     dropout_rate, dropped unmasked scores become 0 and kept ones are rescaled
     by 1/(1 - dropout_rate); otherwise this is the evaluation pass.
     """
-    spec = model.spec
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != spec.width:
-        raise ValueError(f"expected (batch, {spec.width}) features, got {X.shape}")
+    width, positions, mask_len = model.feature_width, model.positions, model.mask_len
+    if X.ndim != 2 or X.shape[1] != width:
+        raise ValueError(f"expected (batch, {width}) features, got {X.shape}")
     B = X.shape[0]
-    n = spec.out_channels
-    I = X.reshape(B, spec.height, spec.width, spec.channels)
+    n = model.h_t.size
+    I = X.reshape(B, 1, width, 1)
     O, T = factorized_forward(I, model.P, model.Q, model.S)
-    H = O.reshape(B, spec.positions, n)
+    H = O.reshape(B, positions, n)
     if not np.all(np.isfinite(H)):
         raise NumericalError("non-finite values in convolution output")
-    G = np.concatenate([H, np.broadcast_to(model.h_t, (B, spec.positions, n))], axis=2)
+    G = np.concatenate([H, np.broadcast_to(model.h_t, (B, positions, n))], axis=2)
     A = G @ model.w_pw
-    scaled = A * model.s_vec
-    pre = scaled.copy()
-    pre[:, model.mask_len :] = -np.inf
-    scale = np.zeros((B, spec.positions))
-    scale[:, : model.mask_len] = 1.0
+    # the factor each score takes: 0 when masked or dropped
     if drop_mask is not None and dropout_rate > 0.0:
-        keep = 1.0 / (1.0 - dropout_rate)
-        active = ~drop_mask
-        pre[:, : model.mask_len] = np.where(
-            active[:, : model.mask_len], pre[:, : model.mask_len] * keep, 0.0
-        )
-        scale[:, : model.mask_len] = np.where(active[:, : model.mask_len], keep, 0.0)
+        scale = np.zeros((B, positions))
+        scale[:, :mask_len] = np.where(drop_mask, 0.0, 1.0 / (1.0 - dropout_rate))
+    else:
+        scale = np.zeros(positions)
+        scale[:mask_len] = 1.0
+    pre = A * model.s_vec * scale
+    pre[:, mask_len:] = -np.inf
     weights = stable_softmax(pre, axis=1)
     if not np.all(np.isfinite(weights)):
         raise NumericalError("non-finite attention weights")
@@ -376,8 +369,7 @@ def gradients(
         return cost, {"theta": grad + penalty_grad}
 
     cache = _forward(model, X, drop_mask, settings.dropout_rate)
-    spec = model.spec
-    n = spec.out_channels
+    positions, n = model.positions, model.h_t.size
     targets = smooth_labels(labels, model.n_classes, settings.label_smoothing)
     probs = cache["probs"]
     total = loss(targets, probs, model.head_params().values(), lam)
@@ -392,7 +384,7 @@ def gradients(
     d_pre_hidden = d_hidden * (1.0 - hidden * hidden)
     d_w_out = cache["z"].T @ d_pre_hidden
     d_z = d_pre_hidden @ model.w_out.T
-    d_gated = d_z.reshape(B, spec.positions, n)
+    d_gated = d_z.reshape(B, positions, n)
 
     weights = cache["weights"]
     H = cache["H"]
@@ -410,21 +402,14 @@ def gradients(
     d_H += d_G[:, :, :n]
     d_h_t = np.sum(d_G[:, :, n:], axis=(0, 1))
 
-    d_O = d_H.reshape(B, spec.out_height, spec.out_width, n)
+    d_O = d_H.reshape(B, 1, positions, n)
     d_P, d_Q, d_S = factorized_backward(
         cache["I"], cache["T"], model.P, model.Q, model.S, d_O
     )
 
-    grads = {
-        "P": d_P + lam * model.P,
-        "S": d_S + lam * model.S,
-        "Q": d_Q + lam * model.Q,
-        "w_pw": d_w_pw + lam * model.w_pw,
-        "s_vec": d_s_vec + lam * model.s_vec,
-        "h_t": d_h_t + lam * model.h_t,
-        "w_out": d_w_out + lam * model.w_out,
-        "v_out": d_v_out + lam * model.v_out,
-    }
+    grads = dict(zip(DKL_PARAMS, (d_P, d_S, d_Q, d_w_pw, d_s_vec, d_h_t, d_w_out, d_v_out)))
+    for name, param in model.head_params().items():
+        grads[name] += lam * param
     return total, grads
 
 
@@ -490,9 +475,6 @@ def train(
             drop = None
             if dkl_head and settings.dropout_rate > 0.0:
                 drop = rng.random((sel.size, model.mask_len)) < settings.dropout_rate
-                full = np.zeros((sel.size, model.spec.positions), dtype=bool)
-                full[:, : model.mask_len] = drop
-                drop = full
             value, grads = gradients(model, X_train[sel], y_train[sel], settings, drop)
             if not np.isfinite(value):
                 raise NumericalError(
@@ -527,10 +509,10 @@ def predict(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def model_to_dict(model: Model) -> dict:
     """Versioned JSON-ready document: the head's arrays as shape metadata plus
-    flat row-major data, and a `SarnModel`'s conv spec and mask length."""
+    flat row-major data, and a `SarnModel`'s mask length."""
     doc = {"format_version": MODEL_FORMAT_VERSION, "active_head": model.head}
     if isinstance(model, SarnModel):
-        doc.update(spec=asdict(model.spec), mask_len=model.mask_len)
+        doc["mask_len"] = model.mask_len
     doc["params"] = {
         name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
         for name, arr in model.head_params().items()
@@ -553,7 +535,7 @@ def model_from_dict(doc: dict) -> Model:
     if doc["active_head"] == SOFTMAX_REG:
         return SoftmaxRegModel(theta=array("theta"))
     arrays = {name: array(name) for name in DKL_PARAMS}
-    return SarnModel(spec=ConvSpec(**doc["spec"]), mask_len=doc["mask_len"], **arrays)
+    return SarnModel(mask_len=doc["mask_len"], **arrays)
 
 
 def save_model(model: Model, path: str) -> None:

@@ -186,21 +186,6 @@ class TestSparseForward:
         assert cv.sparse_forward(I, fk).shape == (1, 6, 2)
 
 
-class TestConvSpec:
-    def test_tabular_mode_allows_unit_height(self):
-        spec = cv.ConvSpec(height=1, width=7, channels=1, kernel_size=3, out_channels=4, rank=2)
-        assert spec.kernel_height == 1
-        assert spec.positions == 5
-
-    def test_rank_bound_uses_patch_size(self):
-        with pytest.raises(ValueError, match="rank"):
-            cv.ConvSpec(height=1, width=7, channels=1, kernel_size=3, out_channels=4, rank=4)
-
-    def test_width_must_fit_kernel(self):
-        with pytest.raises(ValueError):
-            cv.ConvSpec(height=1, width=2, channels=1, kernel_size=3, out_channels=4, rank=2)
-
-
 class TestFactorizedBackward:
     def test_matches_finite_differences_on_multichannel_maps(self):
         # O is linear in each of P, Q and S, so central differences of

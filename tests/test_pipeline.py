@@ -301,7 +301,24 @@ class TestArtifactsIO:
         assert len(trained.history) == 40 and len(untrained.history) == 0
         softmax_sarn = replace(config.sarn, loss_head=nw.SOFTMAX_REG)
         softmax = pl.run(data, replace(config, sarn=softmax_sarn))
-        for run_no, artifacts in enumerate((trained, untrained, softmax)):
+        short_sarn = replace(config.sarn, epochs=5)
+        # the two other feature modes: no UMAP (oversampled, as wide tables
+        # are fitted), and no LASSO
+        selected = pl.run(
+            data,
+            replace(config, feature_mode="selected_only", balance="oversample", sarn=short_sarn),
+        )
+        embedded = pl.run(
+            data,
+            replace(
+                config,
+                feature_mode="embedding_only",
+                umap=replace(config.umap, out_dim=3),
+                sarn=replace(short_sarn, kernel_size=2),
+            ),
+        )
+        runs = (trained, untrained, softmax, selected, embedded)
+        for run_no, artifacts in enumerate(runs):
             out = str(tmp_path / f"artifacts_{run_no}")
             pl.save_artifacts(artifacts, out)
             loaded = pl.load_artifacts(out)
@@ -310,25 +327,35 @@ class TestArtifactsIO:
                 assert a.dtype == b.dtype and a.shape == b.shape
                 np.testing.assert_array_equal(a, b)
 
-            for f in fields(um.NeighborGraph):
-                same(getattr(artifacts.graph, f.name), getattr(loaded.graph, f.name))
-            same(artifacts.train_points, loaded.train_points)
+            uses_umap = artifacts.config.uses_umap
+            assert (loaded.graph is None) == (loaded.embedding is None) == (not uses_umap)
+            if uses_umap:
+                for f in fields(um.NeighborGraph):
+                    same(getattr(artifacts.graph, f.name), getattr(loaded.graph, f.name))
+                same(artifacts.train_points, loaded.train_points)
+                same(artifacts.train_labels, loaded.train_labels)
+                assert artifacts.embedding.epoch_losses.size == artifacts.config.umap.epochs
+                for name in ("coordinates", "epoch_losses"):
+                    same(getattr(artifacts.embedding, name), getattr(loaded.embedding, name))
+                assert loaded.embedding.final_loss == artifacts.embedding.final_loss
+            else:
+                # only the out-of-sample embedding reads the training rows
+                assert artifacts.train_points is None and loaded.train_points is None
             assert type(loaded.model) is type(artifacts.model)
             for name, value in artifacts.model.head_params().items():
                 same(value, getattr(loaded.model, name))
             if loaded.model.head == nw.DKL_HEAD:
                 assert loaded.model.mask_len == artifacts.model.mask_len
-            assert np.any(artifacts.lasso_path.intercepts != 0.0)
-            for name in ("lambdas", "coef_matrix", "intercepts", "df", "mse", "converged"):
-                same(getattr(artifacts.lasso_path, name), getattr(loaded.lasso_path, name))
-            assert artifacts.embedding.epoch_losses.size == artifacts.config.umap.epochs
-            for name in ("coordinates", "epoch_losses"):
-                np.testing.assert_array_equal(
-                    getattr(artifacts.embedding, name), getattr(loaded.embedding, name)
-                )
-            assert loaded.embedding.final_loss == artifacts.embedding.final_loss
+            assert (loaded.lasso_path is None) == (not artifacts.config.uses_lasso)
+            if artifacts.config.uses_lasso:
+                assert np.any(artifacts.lasso_path.intercepts != 0.0)
+                for name in ("lambdas", "coef_matrix", "intercepts", "df", "mse", "converged"):
+                    same(getattr(artifacts.lasso_path, name), getattr(loaded.lasso_path, name))
+                assert loaded.selected == artifacts.selected
             for name in ("train_loss", "train_accuracy", "val_loss", "val_accuracy"):
                 same(getattr(artifacts.history, name), getattr(loaded.history, name))
+            X_new = data.features[:7]
+            same(pl.transform_new(artifacts, X_new), pl.transform_new(loaded, X_new))
 
     def test_metrics_json_deterministic_bytes(self, default_run, tmp_path):
         data, config, _ = default_run

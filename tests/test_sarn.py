@@ -78,7 +78,7 @@ def output_head_oracle(gated, w_out, v_out):
 
 
 def attention_weights(model, seed, *drop):
-    X = np.random.default_rng(seed).normal(size=(2, model.spec.width))
+    X = np.random.default_rng(seed).normal(size=(2, model.feature_width))
     return nw._forward(model, X, *drop)["weights"]
 
 
@@ -94,7 +94,7 @@ class TestSparseAttention:
         model = tiny_model()
         model.w_pw[:] = 0.0  # every position scores 0
         weights = attention_weights(model, 3)
-        np.testing.assert_allclose(weights, 1.0 / model.spec.positions, atol=1e-12)
+        np.testing.assert_allclose(weights, 1.0 / model.positions, atol=1e-12)
 
     def test_masked_positions_get_exactly_zero(self):
         model = tiny_model(mask_len=3)
@@ -105,7 +105,7 @@ class TestSparseAttention:
     def test_dropout_seeded_and_training_only(self):
         model = tiny_model()
         rng = np.random.default_rng(5)
-        mask_a, mask_b = rng.random((2, 2, model.spec.positions)) < 0.5
+        mask_a, mask_b = rng.random((2, 2, model.positions)) < 0.5
         assert mask_a.any() and not np.array_equal(mask_a, mask_b)
         evaluation = attention_weights(model, 6)
         # a mask at rate 0 is the evaluation pass
@@ -118,6 +118,22 @@ class TestSparseAttention:
     def test_zero_mask_len_rejected(self):
         with pytest.raises(ValueError):
             tiny_model(mask_len=0)
+
+
+class TestModelShape:
+    def test_positions_and_width_come_from_the_arrays(self):
+        model = tiny_model(width=7)
+        assert model.positions == model.s_vec.size == 5
+        assert model.feature_width == 7
+
+    def test_rank_bound_uses_patch_size(self):
+        # a 1 x 3 kernel has 3 entries, below the 4 channels
+        with pytest.raises(ValueError, match="rank"):
+            nw.SarnSettings(kernel_size=3, channels=4, rank=4)
+
+    def test_width_must_fit_kernel(self):
+        with pytest.raises(ValueError):
+            tiny_model(width=2)
 
 
 class TestForwardConsistency:
@@ -329,7 +345,7 @@ class TestGradients:
         rng = np.random.default_rng(16)
         X = rng.normal(size=(2, 8))
         y = np.array([0, 1])
-        mask = rng.random((2, model.spec.positions)) < 0.4
+        mask = rng.random((2, model.positions)) < 0.4
         a = nw.gradients(model, X, y, settings, mask)
         b = nw.gradients(model, X, y, settings, mask)
         assert a[0] == b[0]
@@ -469,7 +485,10 @@ class TestSerialization:
             for name, value in trained.head_params().items():
                 np.testing.assert_array_equal(getattr(back, name), value)
             if head == nw.DKL_HEAD:
-                assert back.mask_len == trained.mask_len and back.spec == trained.spec
+                assert "spec" not in json.loads(path.read_text())
+                assert back.mask_len == trained.mask_len
+                assert back.feature_width == trained.feature_width == 3
+                assert back.positions == trained.positions == 2
             probs_a, _ = nw.predict(trained, X)
             probs_b, _ = nw.predict(back, X)
             np.testing.assert_array_equal(probs_a, probs_b)
@@ -481,9 +500,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             nw.model_from_dict(doc)
 
-    def test_format_2_rejected_with_refit_hint(self):
-        # format 2 stored theta and the conv state for both heads
+    # format 2 stored theta and the conv state for both heads; format 3 stored
+    # a conv spec beside the arrays that fix the same shape
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_old_format_rejected_with_refit_hint(self, version):
         doc = nw.model_to_dict(tiny_model())
-        doc["format_version"] = 2
-        with pytest.raises(ValueError, match="version 2; refit"):
+        doc["format_version"] = version
+        with pytest.raises(ValueError, match=f"version {version}; refit to write format 4"):
             nw.model_from_dict(doc)
