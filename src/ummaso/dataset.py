@@ -281,10 +281,6 @@ def apply_standardization(X: np.ndarray, params: StandardizationParams) -> np.nd
     return (np.asarray(X, dtype=np.float64) - params.means) / params.std_devs
 
 
-def invert_standardization(X: np.ndarray, params: StandardizationParams) -> np.ndarray:
-    return np.asarray(X, dtype=np.float64) * params.std_devs + params.means
-
-
 def _subset(data: Dataset, indices: np.ndarray) -> Dataset:
     return replace(data, features=data.features[indices], labels=data.labels[indices])
 

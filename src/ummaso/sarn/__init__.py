@@ -8,8 +8,6 @@ from .conv import (
     FactorizedKernel,
     direct_conv,
     factorize_kernel,
-    factorized_backward,
-    factorized_forward,
     sparse_forward,
     transform_input,
     transform_kernel,
@@ -45,8 +43,6 @@ __all__ = [
     "direct_conv",
     "dkl",
     "factorize_kernel",
-    "factorized_backward",
-    "factorized_forward",
     "gradients",
     "init_model",
     "kl",

@@ -7,9 +7,11 @@ Q_i (s_h*s_w, q1) and S_i (q1, n). The forward pass then needs only the
 q1-channel correlations T_i followed by one matrix multiplication, and agrees
 with the direct convolution up to the rank-q1 truncation error.
 
-`factorized_forward` and `factorized_backward` are the batched forward and
-backward passes over (P, Q, S); the SARN network trains through them and
-`sparse_forward` wraps the forward pass for one input map.
+The dense kernel the factors stand for is linear in each of P, Q and S.
+`collapse` builds that kernel and `collapse_backward` maps a kernel gradient
+back onto (P, Q, S); the SARN network trains through this pair.
+`sparse_forward` runs the mix -> bases -> combine steps on one input map and
+is the reference that the factorization is checked against.
 """
 
 from __future__ import annotations
@@ -17,18 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
-
-
-def _windows(I: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Read-only view of the sliding patches of I (..., H, W, m), shaped
-    (..., H-kh+1, W-kw+1, m, kh, kw). Built with as_strided because
-    sliding_window_view's argument checks cost more than the einsums over
-    the view at training batch sizes; callers check the kernel fits."""
-    *lead, h, w, m = I.shape
-    sy, sx, sc = I.strides[-3:]
-    shape = (*lead, h - kh + 1, w - kw + 1, m, kh, kw)
-    return as_strided(I, shape, I.strides[:-3] + (sy, sx, sc, sy, sx), writeable=False)
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def direct_conv(I: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -42,7 +33,7 @@ def direct_conv(I: np.ndarray, K: np.ndarray) -> np.ndarray:
         raise ValueError(f"channel mismatch: input has {I.shape[2]}, kernel has {m}")
     if kh > I.shape[0] or kw > I.shape[1]:
         raise ValueError("kernel is larger than the input")
-    return np.einsum("uvij,YXiuv->YXj", K, _windows(I, kh, kw))
+    return np.einsum("uvij,YXiuv->YXj", K, sliding_window_view(I, (kh, kw), axis=(0, 1)))
 
 
 def transform_input(I: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -128,49 +119,35 @@ class FactorizedKernel:
         return cls(P=np.asarray(P, dtype=np.float64), S=S, Q=Q, recon_errors=errors)
 
 
-def factorized_forward(
-    I: np.ndarray, P: np.ndarray, Q: np.ndarray, S: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Factorized convolution of I (..., h, w, m) over any leading batch axes:
-    mix channels with P, correlate each channel with its q1 bases Q, then
-    combine bases with S. Returns the output O (..., Y, X, n) and the basis
-    correlations T (..., Y, X, q1, m) that `factorized_backward` needs."""
-    kh, kw = Q.shape[1], Q.shape[2]
-    win = _windows(transform_input(I, P), kh, kw)
-    T = np.einsum("iuvq,...yxiuv->...yxqi", Q, win)
-    return np.einsum("iqj,...yxqi->...yxj", S, T), T
+def collapse(P: np.ndarray, Q: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The dense kernel K (kh, kw, m, n) that the factors (P, Q, S) stand for:
+    K(u, v, k, j) = sum_i,q P(i, k) * Q(i, u, v, q) * S(i, q, j)."""
+    return np.einsum("ik,iuvq,iqj->uvkj", P, Q, S)
 
 
-def factorized_backward(
-    I: np.ndarray,
-    T: np.ndarray,
-    P: np.ndarray,
-    Q: np.ndarray,
-    S: np.ndarray,
-    d_O: np.ndarray,
+def collapse_backward(
+    P: np.ndarray, Q: np.ndarray, S: np.ndarray, d_K: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (d_P, d_Q, d_S) of a loss whose gradient with respect to the
-    output of `factorized_forward(I, P, Q, S)` is d_O; T is that call's basis
-    correlations. Leading batch axes are summed over."""
-    kh, kw = Q.shape[1], Q.shape[2]
-    I = I.reshape((-1,) + I.shape[-3:])
-    T = T.reshape((-1,) + T.shape[-4:])
-    d_O = d_O.reshape((-1,) + d_O.shape[-3:])
-    d_T = np.einsum("iqj,byxj->byxqi", S, d_O)
-    d_S = np.einsum("byxj,byxqi->iqj", d_O, T)
-    # d_Q and d_P both contract d_T with the raw input patches
-    F = np.einsum("byxqi,byxkuv->iuvqk", d_T, _windows(I, kh, kw))
-    d_Q = np.einsum("ik,iuvqk->iuvq", P, F)
-    d_P = np.einsum("iuvq,iuvqk->ik", Q, F)
+    """Gradients (d_P, d_Q, d_S) of a loss whose gradient with respect to
+    `collapse(P, Q, S)` is d_K."""
+    d_P = np.einsum("uvkj,iuvq,iqj->ik", d_K, Q, S)
+    d_Q = np.einsum("uvkj,ik,iqj->iuvq", d_K, P, S)
+    d_S = np.einsum("uvkj,ik,iuvq->iqj", d_K, P, Q)
     return d_P, d_Q, d_S
 
 
 def sparse_forward(I: np.ndarray, fk: FactorizedKernel) -> np.ndarray:
-    """Convolution of one input map (h, w, m) through the factorized path."""
+    """Convolution of one input map (h, w, m) through the factorized path:
+    mix channels with P, correlate each channel with its q1 bases Q, then
+    combine the bases with S. Kept step by step, not through `collapse`, as
+    the reference that the factorization is checked against."""
     I = np.asarray(I, dtype=np.float64)
     m = fk.S.shape[0]
     if I.ndim != 3 or I.shape[2] != m:
         raise ValueError(f"input must be (h, w, {m})")
     if fk.Q.shape[1] > I.shape[0] or fk.Q.shape[2] > I.shape[1]:
         raise ValueError("kernel is larger than the input")
-    return factorized_forward(I, fk.P, fk.Q, fk.S)[0]
+    J = transform_input(I, fk.P)
+    win = sliding_window_view(J, fk.Q.shape[1:3], axis=(0, 1))
+    T = np.einsum("iuvq,yxiuv->yxqi", fk.Q, win)
+    return np.einsum("iqj,yxqi->yxj", fk.S, T)

@@ -1,9 +1,11 @@
 """Network assembly, losses, analytic gradients, training and prediction.
 
 Tabular inputs: a d-wide feature vector is treated as a 1 x d single-channel
-map convolved with 1 x s kernels through the factorized path, giving a
-(positions x channels) hidden matrix. A pointwise convolution over the hidden
-matrix concatenated with a learned (broadcast) target row scores each
+map convolved with a 1 x s kernel, giving a (positions x channels) hidden
+matrix. The kernel is collapsed from its factors (P, Q, S) and applied to the
+batch's sliding patches as one matrix product; its gradient flows back onto
+the factors through `collapse_backward`. A pointwise convolution over the
+hidden matrix concatenated with a learned (broadcast) target row scores each
 position; scores are scaled, masked beyond mask_len, optionally dropped out,
 then softmaxed and used to gate the hidden matrix elementwise. The gated
 matrix is flattened through a tanh layer and a linear layer into class
@@ -27,7 +29,7 @@ import numpy as np
 
 from ..dataset import read_json, write_json
 from ..errors import NumericalError
-from .conv import FactorizedKernel, factorized_backward, factorized_forward
+from .conv import FactorizedKernel, collapse, collapse_backward
 
 PROB_CLAMP = 1e-12  # lower bound on probabilities inside KL terms
 PRUNE_THRESHOLD = 1e-3  # |S| entries below this are zeroed after training
@@ -155,7 +157,7 @@ class SarnSettings:
         if self.mask_len is not None and self.mask_len < 1:
             raise ValueError(f"mask_len must be at least 1, got {self.mask_len}")
         if self.kernel_size < 1 or self.channels < 1:
-            raise ValueError("kernel_size, channels and out_channels must be positive")
+            raise ValueError("kernel_size and channels must be positive")
         # a 1 x kernel_size kernel has kernel_size entries per output channel
         if not 1 <= self.rank <= min(self.kernel_size, self.channels):
             raise ValueError(
@@ -291,9 +293,11 @@ def _forward(
         raise ValueError(f"expected (batch, {width}) features, got {X.shape}")
     B = X.shape[0]
     n = model.h_t.size
-    I = X.reshape(B, 1, width, 1)
-    O, T = factorized_forward(I, model.P, model.Q, model.S)
-    H = O.reshape(B, positions, n)
+    # the 1 x s single-channel kernel as an (s, n) matrix
+    kernel = collapse(model.P, model.Q, model.S)[0, :, 0, :]
+    s = kernel.shape[0]
+    patches = X[:, np.arange(positions)[:, None] + np.arange(s)].reshape(-1, s)
+    H = (patches @ kernel).reshape(B, positions, n)
     if not np.all(np.isfinite(H)):
         raise NumericalError("non-finite values in convolution output")
     G = np.concatenate([H, np.broadcast_to(model.h_t, (B, positions, n))], axis=2)
@@ -318,8 +322,7 @@ def _forward(
     if not np.all(np.isfinite(probs)):
         raise NumericalError("non-finite output probabilities")
     return {
-        "I": I,
-        "T": T,
+        "patches": patches,
         "H": H,
         "G": G,
         "A": A,
@@ -402,10 +405,8 @@ def gradients(
     d_H += d_G[:, :, :n]
     d_h_t = np.sum(d_G[:, :, n:], axis=(0, 1))
 
-    d_O = d_H.reshape(B, 1, positions, n)
-    d_P, d_Q, d_S = factorized_backward(
-        cache["I"], cache["T"], model.P, model.Q, model.S, d_O
-    )
+    d_K = cache["patches"].T @ d_H.reshape(-1, n)
+    d_P, d_Q, d_S = collapse_backward(model.P, model.Q, model.S, d_K[None, :, None, :])
 
     grads = dict(zip(DKL_PARAMS, (d_P, d_S, d_Q, d_w_pw, d_s_vec, d_h_t, d_w_out, d_v_out)))
     for name, param in model.head_params().items():

@@ -65,13 +65,14 @@ CASES = [
     ({"sarn": {"rank": 9}}, "sarn: rank must lie in [1, min(patch=3, n=8)], got 9"),
     ({"sarn": {"dropout_rate": 1.0}}, "sarn: dropout_rate must lie in [0, 1)"),
     ({"sarn": {"mask_len": 0}}, "sarn: mask_len must be at least 1, got 0"),
-    ({"sarn": {"kernel_size": 0}}, "sarn: kernel_size, channels and out_channels must be positive"),
+    ({"sarn": {"kernel_size": 0}}, "sarn: kernel_size and channels must be positive"),
     ({"sarn": {"loss_head": "svm"}}, "sarn: unknown loss_head 'svm'"),
     ({"sarn": {"batch_size": 0}}, "sarn: batch_size must be at least 1"),
     ({"sarn": {"hidden": 0}}, "sarn: hidden must be at least 1"),
     ({"sarn": {"label_smoothing": 1.0}}, "sarn: label_smoothing must lie in [0, 1)"),
     ({"sarn": {"label_smoothing": -0.1}}, "sarn: label_smoothing must lie in [0, 1)"),
     ({"sarn": {"reg_lambda": -1.0}}, "sarn: reg_lambda must be non-negative"),
+    ({"sarn": {"channels": 0}}, "sarn: kernel_size and channels must be positive"),
 ]
 
 

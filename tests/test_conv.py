@@ -186,20 +186,20 @@ class TestSparseForward:
         assert cv.sparse_forward(I, fk).shape == (1, 6, 2)
 
 
-class TestFactorizedBackward:
-    def test_matches_finite_differences_on_multichannel_maps(self):
-        # O is linear in each of P, Q and S, so central differences of
-        # L = sum(W * O) are exact up to round-off even with a large step
+class TestCollapse:
+    def test_backward_matches_finite_differences_on_multichannel_factors(self):
+        # K is linear in each of P, Q and S, so central differences of
+        # L = sum(W * K) are exact up to round-off even with a large step
         rng = np.random.default_rng(16)
-        for lead, m, s, q1 in [((2,), 2, 2, 2), ((3,), 3, 3, 2), ((2, 2), 3, 2, 3)]:
+        for m, s, q1 in [(2, 2, 2), (3, 3, 2), (3, 2, 3)]:
             n = 4
-            I = rng.normal(size=lead + (s + 2, s + 3, m))
             P = rng.normal(size=(m, m))
             Q = rng.normal(size=(m, s, s, q1))
             S = rng.normal(size=(m, q1, n))
-            O, T = cv.factorized_forward(I, P, Q, S)
-            W = rng.normal(size=O.shape)
-            grads = cv.factorized_backward(I, T, P, Q, S, W)
+            K = cv.collapse(P, Q, S)
+            assert K.shape == (s, s, m, n)
+            W = rng.normal(size=K.shape)
+            grads = cv.collapse_backward(P, Q, S, W)
             params = (P, Q, S)
             h = 1e-3
             for which, (param, grad) in enumerate(zip(params, grads)):
@@ -208,19 +208,27 @@ class TestFactorizedBackward:
                 for idx in range(flat.size):
                     orig = flat[idx]
                     flat[idx] = orig + h
-                    up = np.sum(W * cv.factorized_forward(I, *params)[0])
+                    up = np.sum(W * cv.collapse(*params))
                     flat[idx] = orig - h
-                    down = np.sum(W * cv.factorized_forward(I, *params)[0])
+                    down = np.sum(W * cv.collapse(*params))
                     flat[idx] = orig
                     fd = (up - down) / (2 * h)
                     err = abs(grad.reshape(-1)[idx] - fd)
                     assert err <= 1e-6 * max(1.0, abs(fd)), f"d_{'PQS'[which]}[{idx}]"
 
-    def test_forward_over_batch_axes_matches_per_map(self):
+    def test_direct_conv_of_collapsed_kernel_matches_sparse_forward(self):
         rng = np.random.default_rng(17)
-        I = rng.normal(size=(3, 5, 6, 2))
-        K = rng.normal(size=(3, 3, 2, 4))
-        fk = cv.FactorizedKernel.from_kernel(K, np.linalg.qr(rng.normal(size=(2, 2)))[0], 4)
-        O, _ = cv.factorized_forward(I, fk.P, fk.Q, fk.S)
-        for b in range(3):
-            np.testing.assert_allclose(O[b], cv.sparse_forward(I[b], fk), atol=1e-12)
+        for m, s, q1 in [(2, 3, 2), (3, 2, 3), (1, 3, 1)]:
+            n = 4
+            I = rng.normal(size=(s + 2, s + 3, m))
+            fk = cv.FactorizedKernel(
+                P=rng.normal(size=(m, m)),
+                S=rng.normal(size=(m, q1, n)),
+                Q=rng.normal(size=(m, s, s, q1)),
+                recon_errors=np.zeros(m),
+            )
+            np.testing.assert_allclose(
+                cv.direct_conv(I, cv.collapse(fk.P, fk.Q, fk.S)),
+                cv.sparse_forward(I, fk),
+                atol=1e-12,
+            )

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ummaso.errors import NumericalError
+from ummaso.sarn import conv as cv
 from ummaso.sarn import network as nw
 
 
@@ -148,6 +149,33 @@ class TestForwardConsistency:
             np.testing.assert_array_equal(gated, cache["gated"][r])
             probs = output_head_oracle(gated, model.w_out, model.v_out)
             np.testing.assert_allclose(probs, cache["probs"][r], atol=1e-15)
+
+
+    @pytest.mark.parametrize(
+        "kernel_size, channels, rank, mask_len, prune",
+        [(3, 4, 2, None, False), (1, 3, 1, None, False), (4, 6, 4, None, False),
+         (2, 5, 2, 3, False), (3, 8, 3, 2, True)],
+    )
+    def test_convolution_matches_sparse_forward_reference(
+        self, kernel_size, channels, rank, mask_len, prune
+    ):
+        settings = nw.SarnSettings(
+            kernel_size=kernel_size, channels=channels, rank=rank, mask_len=mask_len
+        )
+        model = nw.init_model(9, 3, settings, seed=kernel_size + channels)
+        if prune:
+            model.S[np.abs(model.S) < np.median(np.abs(model.S))] = 0.0
+            assert np.any(model.S == 0.0)
+        if mask_len is not None:
+            assert model.mask_len < model.positions
+        X = np.random.default_rng(31).normal(size=(4, 9))
+        fk = cv.FactorizedKernel(model.P, model.S, model.Q, np.zeros(1))
+        H = nw._forward(model, X)["H"]
+        for b in range(X.shape[0]):
+            expect = cv.sparse_forward(X[b].reshape(1, 9, 1), fk)
+            np.testing.assert_allclose(
+                H[b], expect.reshape(model.positions, channels), rtol=0, atol=1e-12
+            )
 
 
 class TestOutputHead:
