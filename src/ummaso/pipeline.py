@@ -14,6 +14,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -81,17 +82,25 @@ class PipelineArtifacts:
     timings: dict[str, float]
     stages: list[str]
 
+    @cached_property
+    def knn_index(self):
+        """The search tree over train_points, built on the first transform_new
+        and kept for this object's lifetime; not a field, so not saved."""
+        return um.knn_index(self.train_points)
+
 
 def _embed_new(
     X_std: np.ndarray,
     graph: um.NeighborGraph,
     embedding: um.Embedding,
     train_points: np.ndarray,
+    index=None,
 ) -> np.ndarray:
     """Out-of-sample coordinates: a weighted average of the k nearest training
     embeddings, weighted by the stored per-point rho/sigma memberships. A point
-    coinciding exactly with a training point copies that point's coordinates."""
-    nearest, dists = um.build_knn(train_points, graph.k, queries=X_std)
+    coinciding exactly with a training point copies that point's coordinates.
+    `index` is um.knn_index(train_points), built per call when not given."""
+    nearest, dists = um.build_knn(train_points, graph.k, queries=X_std, index=index)
     coords = embedding.coordinates
     weights = um.directed_weight(dists, graph.rho[nearest], graph.sigma[nearest])
     total = weights.sum(axis=1)
@@ -213,7 +222,9 @@ def transform_new(artifacts: PipelineArtifacts, X_new: np.ndarray) -> np.ndarray
     std = ds.apply_standardization(X_new, artifacts.standardization)
     coords = None
     if artifacts.config.uses_umap:
-        coords = _embed_new(std, artifacts.graph, artifacts.embedding, artifacts.train_points)
+        coords = _embed_new(
+            std, artifacts.graph, artifacts.embedding, artifacts.train_points, artifacts.knn_index
+        )
     return _assemble(std, coords, artifacts.selected, artifacts.config.feature_mode)
 
 

@@ -325,6 +325,19 @@ class TestPredict:
         assert f"{bad}: non-finite value '{cell}' at row 3, column 2" in err
         assert not out.exists()
 
+    def test_overflowing_feature_value_predicts(self, workspace, tmp_path, capsys):
+        # 1e300 overflows every squared distance to the training points
+        _, _, artifacts, _ = workspace
+        data = tmp_path / "extreme.csv"
+        data.write_text("N,P,K,pH,EC\n40,20,15,5.2,0.35\n75,1e300,35,6.4,0.7\n")
+        out = tmp_path / "p.csv"
+        code, _, _ = run_cli(
+            capsys, "predict", "--artifacts", artifacts, "--data", str(data), "--out", str(out)
+        )
+        assert code == 0
+        with open(out) as fh:
+            assert len(list(csv.DictReader(fh))) == 2
+
     @pytest.mark.parametrize("damage", ["truncated", "array root"])
     @pytest.mark.parametrize("name", [n for n in pl.ARTIFACT_FILES if n.endswith(".json")])
     def test_corrupt_json_artifact_exits_2_naming_the_file(

@@ -357,6 +357,29 @@ class TestArtifactsIO:
             X_new = data.features[:7]
             same(pl.transform_new(artifacts, X_new), pl.transform_new(loaded, X_new))
 
+    def test_one_search_tree_per_loaded_directory(self, default_run, tmp_path, monkeypatch):
+        data, _, artifacts = default_run
+        out = str(tmp_path / "artifacts")
+        pl.save_artifacts(artifacts, out)
+        loaded = pl.load_artifacts(out)
+        built, knn_index = [], um.knn_index
+
+        def counted(points):
+            built.append(points.shape)
+            return knn_index(points)
+
+        monkeypatch.setattr(um, "knn_index", counted)
+        first = pl.transform_new(loaded, data.features[:9])
+        second = pl.transform_new(loaded, data.features[:9])
+        np.testing.assert_array_equal(first, second)
+        assert built == [loaded.train_points.shape]
+        # the tree is a cache, not a field: save, load and equality ignore it
+        assert [f.name for f in fields(pl.PipelineArtifacts)] == [
+            "config", "feature_names", "class_names", "standardization", "train_points",
+            "train_labels", "graph", "embedding", "lasso_path", "ranking", "selected",
+            "model", "history", "metrics_report", "timings", "stages",
+        ]
+
     def test_metrics_json_deterministic_bytes(self, default_run, tmp_path):
         data, config, _ = default_run
         out_a = tmp_path / "a"

@@ -102,6 +102,11 @@ def knn_cases():
     dups = rng.normal(size=(40, 5))
     dups = np.vstack([dups, dups[::3], dups[:4]])
     plane = rng.integers(0, 4, size=(60, 2)).astype(np.float64)  # ties everywhere
+    # the tree rejects NaN and inf queries, and 1e300 overflows its distances
+    extreme = np.vstack([dups[:6], dups[:3]])
+    extreme[3, 1] = np.nan
+    extreme[4] = np.inf
+    extreme[5, 2] = 1e300
     cases = [
         ("line", grid, 3, None),
         ("line_queries", grid, 3, grid[::-1] + 0.5),
@@ -110,11 +115,46 @@ def knn_cases():
         ("duplicate_queries", dups, 6, dups[5:15]),
         ("integer_plane", plane, 7, None),
         ("integer_plane_queries", plane, 7, rng.integers(0, 4, size=(25, 2)) * 1.0),
+        ("non_finite_queries", dups, 6, extreme),
     ] + [
         (f"d{d}", rng.normal(size=(50, d)), 9, rng.normal(size=(20, d)))
         for d in (5, 8, 9, 40)
     ]
     return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+def assert_matches_oracle(points, k, queries):
+    indices, distances = um.build_knn(points, k, queries=queries)
+    expect_i, expect_d = oracle_knn(points, k, queries)
+    np.testing.assert_array_equal(indices, expect_i)
+    assert distances.tobytes() == expect_d.tobytes()
+    if queries is None:
+        assert not (indices == np.arange(len(points))[:, None]).any()
+
+
+@st.composite
+def knn_problems(draw):
+    """Integer grids (heavy ties) or Gaussian points, some rows duplicated,
+    scaled by 1e-8 to 1e8, with or without queries."""
+    d = draw(st.sampled_from([1, 2, 5, 8, 40]))
+    n = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(1, 4))
+
+    def sample(rows):
+        if draw(st.booleans()):
+            return rng.integers(0, levels + 1, size=(rows, d)).astype(np.float64)
+        return rng.normal(size=(rows, d))
+
+    points = sample(n)
+    copies = rng.integers(0, n, size=draw(st.integers(0, 2 * n)))
+    points = np.vstack([points, points[copies]])
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    k = draw(st.integers(1, min(len(points) - 1, 20)))
+    queries = None
+    if draw(st.booleans()):
+        queries = np.vstack([sample(draw(st.integers(0, 10))), points[copies[:5]]]) * scale
+    return points * scale, k, queries
 
 
 class TestBuildKnnOracle:
@@ -123,12 +163,41 @@ class TestBuildKnnOracle:
     def test_bit_equal_to_stable_argsort(self, monkeypatch, block, points, k, queries):
         if block is not None:  # rows per block; the default holds every row
             monkeypatch.setattr(um, "KNN_BLOCK_ELEMENTS", block * points.size)
-        indices, distances = um.build_knn(points, k, queries=queries)
-        expect_i, expect_d = oracle_knn(points, k, queries)
-        np.testing.assert_array_equal(indices, expect_i)
-        assert distances.tobytes() == expect_d.tobytes()
-        if queries is None:
-            assert not (indices == np.arange(len(points))[:, None]).any()
+        assert_matches_oracle(points, k, queries)
+
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    @pytest.mark.parametrize("points,k,queries", knn_cases())
+    def test_fallback_bit_equal_to_stable_argsort(self, monkeypatch, block, points, k, queries):
+        if block is not None:
+            monkeypatch.setattr(um, "KNN_BLOCK_ELEMENTS", block * points.size)
+        # no candidate set passes, so every row takes the blocked brute force
+        monkeypatch.setattr(um, "KNN_SLACK", 1.0)
+        brute, searched = um._brute_knn, []
+
+        def counted(P, Q, k, own=None):
+            searched.append(len(Q))
+            return brute(P, Q, k, own)
+
+        monkeypatch.setattr(um, "_brute_knn", counted)
+        assert_matches_oracle(points, k, queries)
+        assert sum(searched) == len(points if queries is None else queries)
+
+    @given(problem=knn_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_property_bit_equal_to_stable_argsort(self, problem):
+        assert_matches_oracle(*problem)
+
+    def test_non_finite_point_is_searched_without_a_tree(self):
+        points = np.random.default_rng(9).normal(size=(30, 3))
+        points[4, 1] = np.nan
+        points[11, 0] = np.inf
+        assert um.knn_index(points) is None
+        for queries in (None, points[::4] + 0.25):
+            # no self check: a NaN row ranks itself (inf) before its NaN distances
+            indices, distances = um.build_knn(points, 5, queries=queries)
+            expect_i, expect_d = oracle_knn(points, 5, queries)
+            np.testing.assert_array_equal(indices, expect_i)
+            assert distances.tobytes() == expect_d.tobytes()
 
     def test_standardized_oversampled_duplicates_are_exactly_zero(self):
         X = oversampled_soil()
