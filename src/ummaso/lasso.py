@@ -119,7 +119,6 @@ def fit_lasso(
         # re-optimize the (unpenalized) intercept; a no-op for centered X
         shift = float(np.mean(residual))
         if shift != 0.0:
-            intercept += shift
             residual -= shift
         if max_change < tol:
             converged = True

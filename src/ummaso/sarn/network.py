@@ -107,10 +107,15 @@ def softmax_reg_cost(
     X: np.ndarray, labels: np.ndarray, theta: np.ndarray, reg_lambda: float
 ) -> float:
     """Negative mean log-likelihood plus weight decay (bias column excluded)."""
+    probs = np.atleast_2d(softmax_reg_forward(X, theta))
+    return _softmax_reg_loss(probs, labels, theta, reg_lambda)
+
+
+def _softmax_reg_loss(probs, labels, theta: np.ndarray, reg_lambda: float) -> float:
+    """softmax_reg_cost from the (batch, classes) probabilities of its X."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise ValueError("empty batch")
-    probs = np.atleast_2d(softmax_reg_forward(X, theta))
     picked = np.maximum(probs[np.arange(labels.size), labels], PROB_CLAMP)
     data = -float(np.mean(np.log(picked)))
     return data + 0.5 * reg_lambda * float(np.sum(theta[:, :-1] ** 2))
@@ -368,7 +373,7 @@ def gradients(
         grad = ((probs - onehot).T @ Xa) / B
         penalty_grad = lam * model.theta
         penalty_grad[:, -1] = 0.0
-        cost = softmax_reg_cost(X, labels, model.theta, lam)
+        cost = _softmax_reg_loss(probs, labels, model.theta, lam)
         return cost, {"theta": grad + penalty_grad}
 
     cache = _forward(model, X, drop_mask, settings.dropout_rate)
@@ -422,8 +427,8 @@ def _evaluate(
     labels = np.asarray(labels, dtype=np.int64)
     lam = settings.reg_lambda
     if isinstance(model, SoftmaxRegModel):
-        cost = softmax_reg_cost(X, labels, model.theta, lam)
         probs = np.atleast_2d(softmax_reg_forward(X, model.theta))
+        cost = _softmax_reg_loss(probs, labels, model.theta, lam)
     else:
         probs = _forward(model, X)["probs"]
         targets = smooth_labels(labels, model.n_classes, settings.label_smoothing)

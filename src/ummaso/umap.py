@@ -15,11 +15,11 @@ between edge updates; a chunk of one edge is the sequential per-edge update.
 
 One exact search, build_knn, serves both the graph and the out-of-sample
 embedding. A k-d tree (scipy's cKDTree) offers a few more than k candidates
-per row; their distances are recomputed from explicit differences, and a row
-is accepted only when no point outside its candidates can reach its k-th
-distance. The other rows (ties across the candidate boundary, non-finite or
-overflowing rows) take a blocked brute-force search, so every row equals a
-stable argsort of all its distances, bit for bit.
+per row, and one rule orders every row's candidates: distances from explicit
+differences, ties by point index. A row settles once no point outside its
+candidates can reach its k-th distance; until then the tree offers four times
+as many, and past the point count (or for a non-finite row) all points are
+its candidates. So every row is a stable argsort of all distances, bit for bit.
 
 The spectral init solves the symmetric-normalized Laplacian at every graph
 size as a CSR matrix with ARPACK's Lanczos solver, as the reference UMAP
@@ -131,7 +131,7 @@ class Embedding:
 
 def knn_index(points):
     """The k-d tree build_knn searches `points` with, or None if a point is not
-    finite (cKDTree rejects those; build_knn then searches them by brute force)."""
+    finite (cKDTree rejects those; build_knn then compares rows with all points)."""
     P = np.asarray(points, dtype=np.float64)
     if not np.isfinite(P).all():
         return None
@@ -151,71 +151,65 @@ def build_knn(points, k: int, queries=None, index=None) -> tuple[np.ndarray, np.
     ascending, ties by point index. Distances sum explicit differences, so
     duplicates are exactly 0 apart and no row depends on the other queries.
 
-    `index` is knn_index(points), built here when not given. The tree offers
-    k + 1 + KNN_MARGIN candidates per row (one more when leaving r out); their
-    distances are recomputed from explicit differences and ordered by
-    (distance, index). A point outside the candidates is at least the last
-    candidate's tree distance away, so a row is accepted when its k-th exact
-    distance lies below that by more than KNN_SLACK, the relative round-off
-    between the tree's sums and these. Every other row (a tie across the
-    candidate boundary, a non-finite query, or distances that overflow to inf)
-    takes the blocked brute-force search. Both paths run in blocks of about
-    KNN_BLOCK_ELEMENTS differences.
+    `index` is knn_index(points), built here when not given. The tree first
+    offers m = k + 1 + KNN_MARGIN candidates per row (one more when leaving r
+    out), which _k_nearest orders. A point outside them is at least the last
+    candidate's tree distance away, so a row settles when its k-th distance
+    lies below that by more than KNN_SLACK, the relative round-off between the
+    tree's sums and these. Other rows are queried again with 4 m candidates,
+    and so on; once m reaches the point count, all points are the candidates,
+    as they are for non-finite or overflowing rows and when there is no tree.
+    Each round runs in blocks of about KNN_BLOCK_ELEMENTS differences.
     """
     P = np.asarray(points, dtype=np.float64)
     Q = P if queries is None else np.asarray(queries, dtype=np.float64)
-    if k >= len(P):
-        raise ValueError(f"k ({k}) must be smaller than the number of points ({len(P)})")
+    n = len(P)
+    if k >= n:
+        raise ValueError(f"k ({k}) must be smaller than the number of points ({n})")
     tree = knn_index(P) if index is None else index
     leave_out = queries is None
-    m = min(len(P), k + 1 + leave_out + KNN_MARGIN)
     indices = np.empty((len(Q), k), dtype=np.int64)
     distances = np.empty((len(Q), k))
-    exact = np.zeros(len(Q), dtype=bool)
-    finite = np.flatnonzero(np.isfinite(Q).all(axis=1)) if tree is not None else []
-    step = max(1, KNN_BLOCK_ELEMENTS // (m * max(1, P.shape[1])))
-    for start in range(0, len(finite), step):
-        rows = finite[start : start + step]
-        tree_d, cand = tree.query(Q[rows], k=m)
-        # an overflowing distance comes back as inf with the missing index len(P)
-        ok = np.isfinite(tree_d[:, -1]) & (cand < len(P)).all(axis=1)
-        rows, tree_d, cand = rows[ok], tree_d[ok], cand[ok]
-        d = np.sqrt(np.maximum(np.sum((Q[rows, None, :] - P[cand]) ** 2, axis=-1), 0.0))
-        if leave_out:
-            d[cand == rows[:, None]] = np.inf
-        order = np.lexsort((cand, d), axis=1)[:, :k]
-        idx = np.take_along_axis(cand, order, axis=1)
-        dist = np.take_along_axis(d, order, axis=1)
-        accept = dist[:, -1] < tree_d[:, -1] * (1.0 - KNN_SLACK)
-        done = rows[accept]
-        indices[done], distances[done], exact[done] = idx[accept], dist[accept], True
-    rest = np.flatnonzero(~exact)
-    if rest.size:
-        indices[rest], distances[rest] = _brute_knn(P, Q[rest], k, rest if leave_out else None)
+    settled = np.zeros(len(Q), dtype=bool)
+    pending = np.flatnonzero(np.isfinite(Q).all(axis=1)) if tree is not None else []
+    m = k + 1 + leave_out + KNN_MARGIN
+    while len(pending) and m < n:
+        wider = []
+        for rows in _blocks(pending, m * P.shape[1]):
+            tree_d, cand = tree.query(Q[rows], k=m)
+            # an overflowing distance comes back as inf, with the missing index n;
+            # distances ascend, so a finite last one means every index is real
+            ok = np.isfinite(tree_d[:, -1])
+            rows, tree_d, cand = rows[ok], tree_d[ok], cand[ok]
+            idx, dist = _k_nearest(Q[rows, None, :] - P[cand], cand, k, rows if leave_out else None)
+            accept = dist[:, -1] < tree_d[:, -1] * (1.0 - KNN_SLACK)
+            done = rows[accept]
+            indices[done], distances[done], settled[done] = idx[accept], dist[accept], True
+            wider.append(rows[~accept])
+        pending = np.concatenate(wider)
+        m *= 4
+    for rows in _blocks(np.flatnonzero(~settled), P.size):
+        cand = np.broadcast_to(np.arange(n), (len(rows), n))
+        diff = Q[rows, None, :] - P
+        indices[rows], distances[rows] = _k_nearest(diff, cand, k, rows if leave_out else None)
     return indices, distances
 
 
-def _brute_knn(P, Q, k: int, own=None) -> tuple[np.ndarray, np.ndarray]:
-    """build_knn's contract by comparing each query with every point; own[r],
-    when given, is the point that query r leaves out."""
-    indices = np.empty((len(Q), k), dtype=np.int64)
-    distances = np.empty((len(Q), k))
-    step = max(1, KNN_BLOCK_ELEMENTS // max(1, P.size))
-    for start in range(0, len(Q), step):
-        rows = slice(start, start + step)
-        d = np.sqrt(np.maximum(np.sum((Q[rows, None, :] - P) ** 2, axis=-1), 0.0))
-        if own is not None:
-            d[np.arange(len(d)), own[rows]] = np.inf
-        cand = np.argpartition(d, k - 1, axis=1)[:, :k]
-        cand_d = np.take_along_axis(d, cand, axis=1)
-        idx = np.take_along_axis(cand, np.lexsort((cand, cand_d), axis=1), axis=1)
-        # another point at the k-th distance may outrank a candidate by index
-        tied = np.count_nonzero(d <= cand_d.max(axis=1)[:, None], axis=1) != k
-        if tied.any():
-            idx[tied] = np.argsort(d[tied], axis=1, kind="stable")[:, :k]
-        indices[rows] = idx
-        distances[rows] = np.take_along_axis(d, idx, axis=1)
-    return indices, distances
+def _blocks(rows, elements_per_row: int):
+    """`rows` in slices of about KNN_BLOCK_ELEMENTS elements."""
+    step = max(1, KNN_BLOCK_ELEMENTS // max(1, elements_per_row))
+    return (rows[start : start + step] for start in range(0, len(rows), step))
+
+
+def _k_nearest(diff, cand, k: int, own=None) -> tuple[np.ndarray, np.ndarray]:
+    """The first k of each row's candidate points cand[r], ordered by exact
+    distance and then by point index; diff[r, j] is query r minus point
+    cand[r, j], and own[r], when given, is the point that row r leaves out."""
+    d = np.sqrt(np.maximum(np.sum(diff**2, axis=-1), 0.0))
+    if own is not None:
+        d[cand == own[:, None]] = np.inf
+    order = np.lexsort((cand, d), axis=1)[:, :k]
+    return np.take_along_axis(cand, order, axis=1), np.take_along_axis(d, order, axis=1)
 
 
 def compute_rho(distances: np.ndarray) -> np.ndarray:

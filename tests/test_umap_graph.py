@@ -67,6 +67,25 @@ def oversampled_soil(seed=7):
     return ds.oversample(standardized, 3).features
 
 
+def copies():
+    """Four points, each copied 100 times: a row's first m candidates hold only
+    copies until m exceeds 100, so the tree is queried with 4 m and then 16 m
+    candidates before a row settles."""
+    return np.repeat(np.random.default_rng(8).normal(size=(4, 2)), 100, axis=0)
+
+
+def record_candidates(monkeypatch):
+    """The (rows, candidates per row) of every call to um._k_nearest."""
+    calls, order = [], um._k_nearest
+
+    def recorded(diff, cand, k, own=None):
+        calls.append(cand.shape)
+        return order(diff, cand, k, own)
+
+    monkeypatch.setattr(um, "_k_nearest", recorded)
+    return calls
+
+
 class TestBuildKnn:
     def test_points_on_a_line(self):
         X = np.array([[0.0], [1.0], [3.0]])
@@ -116,6 +135,8 @@ def knn_cases():
         ("integer_plane", plane, 7, None),
         ("integer_plane_queries", plane, 7, rng.integers(0, 4, size=(25, 2)) * 1.0),
         ("non_finite_queries", dups, 6, extreme),
+        ("copies", copies(), 5, None),
+        ("copies_queries", copies(), 5, copies()[::50]),
     ] + [
         (f"d{d}", rng.normal(size=(50, d)), 9, rng.normal(size=(20, d)))
         for d in (5, 8, 9, 40)
@@ -170,17 +191,18 @@ class TestBuildKnnOracle:
     def test_fallback_bit_equal_to_stable_argsort(self, monkeypatch, block, points, k, queries):
         if block is not None:
             monkeypatch.setattr(um, "KNN_BLOCK_ELEMENTS", block * points.size)
-        # no candidate set passes, so every row takes the blocked brute force
+        # no candidate set passes, so every row goes through every tree round
+        # and then takes all points as its candidates
         monkeypatch.setattr(um, "KNN_SLACK", 1.0)
-        brute, searched = um._brute_knn, []
-
-        def counted(P, Q, k, own=None):
-            searched.append(len(Q))
-            return brute(P, Q, k, own)
-
-        monkeypatch.setattr(um, "_brute_knn", counted)
+        calls = record_candidates(monkeypatch)
         assert_matches_oracle(points, k, queries)
-        assert sum(searched) == len(points if queries is None else queries)
+        every_point = sum(rows for rows, m in calls if m == len(points))
+        assert every_point == len(points if queries is None else queries)
+
+    def test_copies_settle_after_two_wider_queries(self, monkeypatch):
+        calls = record_candidates(monkeypatch)
+        assert_matches_oracle(copies(), 5, None)
+        assert calls == [(400, 14), (400, 56), (400, 224)]
 
     @given(problem=knn_problems())
     @settings(max_examples=300, deadline=None)
@@ -209,6 +231,15 @@ class TestBuildKnnOracle:
         assert same.sum() > 100
         assert (distances[same] == 0.0).all()
         assert (distances[~same] > 0.0).all()
+
+    def test_oversampled_ties_settle_by_a_wider_tree_query(self, monkeypatch):
+        # copies tie at the k-th distance across the first candidate boundary
+        X = oversampled_soil()
+        calls = record_candidates(monkeypatch)
+        assert_matches_oracle(X, 10, None)
+        assert calls[0] == (len(X), 19)
+        assert len(calls) > 1
+        assert all(m < len(X) for _, m in calls)
 
 
 class TestComputeRho:
