@@ -23,7 +23,7 @@ from . import metrics as mt
 from . import pipeline as pl
 from . import umap as um
 from .config import IoSettings, PipelineConfig, parse_cli_config
-from .errors import ConfigError, DataFormatError, NumericalError, StageError
+from .errors import ConfigError, DataFormatError, NumericalError, StageError, UmmasoError
 from .sarn import network as nw
 
 logger = logging.getLogger(__name__)
@@ -253,26 +253,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, DataFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc.cause, NumericalError):
-            return 4
-        if isinstance(exc.cause, OSError):
-            return 3
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # malformed inputs must never crash the process
-        logger.debug("unexpected failure", exc_info=True)
+        if not isinstance(exc, (UmmasoError, OSError)):
+            logger.debug("unexpected failure", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        cause = exc.cause if isinstance(exc, StageError) else exc
+        if isinstance(cause, NumericalError):
+            return 4
+        return 3 if isinstance(cause, OSError) else 2
 
 
 def entrypoint() -> None:

@@ -33,6 +33,10 @@ class LassoSettings:
     grid_count: int = 100
     selection: SelectionStrategy = field(default_factory=SelectionStrategy)
 
+    def __post_init__(self):
+        if self.grid_count < 2:
+            raise ValueError("grid_count must be at least 2")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:

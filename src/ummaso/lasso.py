@@ -16,6 +16,8 @@ from .dataset import float_columns, read_table, write_table
 from .errors import DataFormatError
 
 ACTIVE_THRESHOLD = 1e-12  # |beta| above this counts as a non-zero coefficient
+CD_MAX_SWEEPS = 10_000  # coordinate-descent sweeps before a lambda counts as unconverged
+CD_TOL = 1e-8  # converged once a sweep changes no coefficient by this much or more
 GRID_RATIO = 1e-3  # smallest grid lambda relative to lambda_max
 _PATH_CSV_COLUMNS = ["lambda", "df", "mse", "intercept", "converged"]  # then beta_j
 
@@ -61,6 +63,8 @@ class SelectionStrategy:
             raise ValueError("top_k requires a non-negative k")
         if self.strategy == "lambda_at" and self.value is None:
             raise ValueError("lambda_at requires a lambda value")
+        if self.strategy == "lambda_at" and self.value < 0:
+            raise ValueError(f"lambda_at value must be non-negative, got {self.value}")
 
 
 def soft_threshold(value: float, threshold: float) -> float:
@@ -84,15 +88,11 @@ def lambda_grid(X: np.ndarray, y: np.ndarray, count: int = 100) -> np.ndarray:
 
 
 def fit_lasso(
-    X: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    warm_start: np.ndarray | None = None,
-    tol: float = 1e-8,
-    max_iters: int = 10_000,
+    X: np.ndarray, y: np.ndarray, lam: float, warm_start: np.ndarray | None = None
 ) -> LassoModel:
     """Cyclic coordinate descent; converged when the largest per-sweep
-    coefficient change drops below tol. Zero-variance columns stay at 0."""
+    coefficient change drops below CD_TOL within CD_MAX_SWEEPS sweeps.
+    Zero-variance columns stay at 0."""
     if lam < 0:
         raise ValueError("lambda must be non-negative")
     X = np.asarray(X, dtype=np.float64)
@@ -104,7 +104,7 @@ def fit_lasso(
     residual = y - intercept - X @ beta
     converged = False
     sweeps = 0
-    for sweeps in range(1, max_iters + 1):
+    for sweeps in range(1, CD_MAX_SWEEPS + 1):
         max_change = 0.0
         for j in range(p):
             if col_sq[j] == 0.0:
@@ -120,7 +120,7 @@ def fit_lasso(
         shift = float(np.mean(residual))
         if shift != 0.0:
             residual -= shift
-        if max_change < tol:
+        if max_change < CD_TOL:
             converged = True
             break
     intercept = float(np.mean(y - X @ beta))

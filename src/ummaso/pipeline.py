@@ -40,7 +40,7 @@ SEED_OVERSAMPLE = 211
 SEED_UMAP = 307
 SEED_SARN = 401
 
-MANIFEST_VERSION = 4
+MANIFEST_VERSION = 5
 
 ARTIFACT_FILES = (
     "standardization.json",

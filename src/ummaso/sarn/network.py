@@ -469,8 +469,6 @@ def train(
         val_loss=np.zeros(epochs),
         val_accuracy=np.zeros(epochs),
     )
-    if epochs == 0:
-        return model, history
     rng = np.random.default_rng(seed)
     n = y_train.size
     params = model.head_params()

@@ -54,6 +54,9 @@ KNN_BLOCK_ELEMENTS = 1 << 22  # float64 differences held per build_knn block
 KNN_MARGIN = 7  # extra tree candidates per row, so copies tied at the k-th distance fit
 KNN_SLACK = 1e-10  # relative round-off allowed between tree and exact distances
 LAYOUT_CHUNK = 512  # layout edges updated from one read of the coordinates
+LAYOUT_EPS = 1e-3  # offset in the repulsive step's denominator, and the loss's w clamp
+SIGMA_MAX_ITERS = 64  # bisection steps for each bandwidth
+SIGMA_TOL = 1e-5  # membership-sum error below which a bandwidth counts as converged
 
 
 @dataclass(frozen=True)
@@ -65,9 +68,6 @@ class UmapConfig:
     epochs: int = 200
     learning_rate: float = 1.0  # initial value; decays linearly to 0
     negative_samples: int = 5
-    eps: float = 1e-3
-    sigma_tol: float = 1e-5
-    sigma_max_iters: int = 64
     # set from the master seed, so not a config key
     seed: int = field(default=0, metadata={"derived": True})
 
@@ -84,8 +84,6 @@ class UmapConfig:
             raise ValueError("learning_rate must be positive")
         if self.negative_samples < 0:
             raise ValueError("negative_samples must be non-negative")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -220,20 +218,15 @@ def compute_rho(distances: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(rho), rho, 0.0)
 
 
-def solve_sigma(
-    distances_row: np.ndarray,
-    rho: float,
-    k: int,
-    tol: float = 1e-5,
-    max_iters: int = 64,
-) -> tuple[float, bool]:
+def solve_sigma(distances_row: np.ndarray, rho: float, k: int) -> tuple[float, bool]:
     """Bisect for the bandwidth whose total membership equals log2(k).
 
     The left-hand side sum_j exp(-max(0, d_j - rho)/sigma) increases from the
     count of zero-gap neighbors toward the row length, so the target is
     reachable only strictly between the two; unreachable targets return a
-    clamped sigma with converged=False. The clamp interval is
-    [1e-3, 1e3] * mean positive gap (sigma = 1.0 when no gap is positive).
+    clamped sigma with converged=False, as does a bisection that ends SIGMA_TOL
+    or more off target. The clamp interval is [1e-3, 1e3] * mean positive gap
+    (sigma = 1.0 when no gap is positive).
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -258,14 +251,14 @@ def solve_sigma(
         if lhs(hi) >= target:
             break
         hi *= 2.0
-    for _ in range(max_iters):
+    for _ in range(SIGMA_MAX_ITERS):
         mid = 0.5 * (lo + hi)
         if lhs(mid) < target:
             lo = mid
         else:
             hi = mid
     sigma = 0.5 * (lo + hi)
-    if abs(lhs(sigma) - target) < tol:
+    if abs(lhs(sigma) - target) < SIGMA_TOL:
         return sigma, True
     return min(max(sigma, lo_clamp), hi_clamp), False
 
@@ -300,7 +293,7 @@ def low_dim_similarity(yi, yj, a: float, b: float):
     return float(w) if np.ndim(w) == 0 else w
 
 
-def cross_entropy(v, w, eps: float = 1e-3):
+def cross_entropy(v, w, eps: float = LAYOUT_EPS):
     """Fuzzy cross-entropy v*log(v/w) + (1-v)*log((1-v)/(1-w)).
 
     w is clamped to [eps, 1-eps]; the 0*log(0) limits are taken as 0. Both
@@ -436,10 +429,10 @@ def _layout_epoch(coords, edge_i, edge_j, edge_v, order, negatives, lr, a, b, ep
     return -1
 
 
-def _edge_loss(coords: np.ndarray, graph: NeighborGraph, a: float, b: float, eps: float) -> float:
+def _edge_loss(coords: np.ndarray, graph: NeighborGraph, a: float, b: float) -> float:
     """Fuzzy cross-entropy summed over the stored positive edges."""
     w = low_dim_similarity(coords[graph.edge_i], coords[graph.edge_j], a, b)
-    return float(np.sum(cross_entropy(graph.edge_v, w, eps)))
+    return float(np.sum(cross_entropy(graph.edge_v, w)))
 
 
 def optimize_layout(
@@ -477,18 +470,14 @@ def optimize_layout(
             lr,
             config.a,
             config.b,
-            config.eps,
+            LAYOUT_EPS,
         )
         if bad_edge >= 0:
             raise NumericalError(
                 f"non-finite coordinates at epoch {epoch}, edge {bad_edge}"
             )
-        losses[epoch] = _edge_loss(coords, graph, config.a, config.b, config.eps)
-    final_loss = (
-        losses[-1]
-        if config.epochs > 0
-        else _edge_loss(coords, graph, config.a, config.b, config.eps)
-    )
+        losses[epoch] = _edge_loss(coords, graph, config.a, config.b)
+    final_loss = losses[-1] if config.epochs > 0 else _edge_loss(coords, graph, config.a, config.b)
     return Embedding(coordinates=coords, final_loss=float(final_loss), epoch_losses=losses)
 
 
@@ -500,9 +489,7 @@ def build_graph(X: np.ndarray, config: UmapConfig) -> NeighborGraph:
     sigma = np.empty(n)
     converged = np.empty(n, dtype=bool)
     for i in range(n):
-        sigma[i], converged[i] = solve_sigma(
-            distances[i], rho[i], config.k, config.sigma_tol, config.sigma_max_iters
-        )
+        sigma[i], converged[i] = solve_sigma(distances[i], rho[i], config.k)
     weights = directed_weight(distances, rho[:, None], sigma[:, None]).ravel()
     rows = np.repeat(np.arange(n), config.k)
     cols = indices.ravel()

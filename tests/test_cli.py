@@ -9,6 +9,7 @@ import pytest
 from ummaso import cli
 from ummaso import dataset as ds
 from ummaso import pipeline as pl
+from ummaso.errors import DataFormatError
 from ummaso.sarn import network as nw
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -374,6 +375,25 @@ class TestPredict:
         )
         assert code == 2 and stdout == ""
         assert err == f"error: {target}: missing key '{key}'\n"
+
+    def test_version_4_directory_exits_2_asking_for_a_refit(self, workspace, tmp_path, capsys):
+        _, data_csv, artifacts, _ = workspace
+        old = tmp_path / "artifacts"
+        shutil.copytree(artifacts, old)
+        manifest = json.loads((old / "manifest.json").read_text())
+        # a version 4 config echo holds umap keys the current schema rejects, so
+        # the version check must come before the config is parsed
+        manifest["manifest_version"] = 4
+        manifest["config"]["umap"].update(eps=0.001, sigma_tol=1e-5, sigma_max_iters=64)
+        (old / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataFormatError, match=r"manifest_version 4 is not 5; refit"):
+            pl.load_artifacts(str(old))
+        code, stdout, err = run_cli(
+            capsys, "predict", "--artifacts", str(old), "--data", data_csv,
+            "--out", str(tmp_path / "p.csv"),
+        )
+        assert code == 2 and stdout == ""
+        assert "manifest_version 4" in err and "refit" in err
 
     def test_header_only_csv_exits_2(self, workspace, tmp_path, capsys):
         _, _, artifacts, _ = workspace

@@ -31,8 +31,8 @@ OLD_MANIFEST_CONFIG = {
     "seed": 9,
     "train_fraction": 0.8,
     "umap": {
-        "a": 1.0, "b": 1.0, "epochs": 11, "eps": 0.001, "k": 7, "learning_rate": 1.0,
-        "negative_samples": 5, "out_dim": 3, "sigma_max_iters": 64, "sigma_tol": 1e-05,
+        "a": 1.0, "b": 1.0, "epochs": 11, "k": 7, "learning_rate": 1.0,
+        "negative_samples": 5, "out_dim": 3,
     },
 }
 
@@ -73,6 +73,15 @@ CASES = [
     ({"sarn": {"label_smoothing": -0.1}}, "sarn: label_smoothing must lie in [0, 1)"),
     ({"sarn": {"reg_lambda": -1.0}}, "sarn: reg_lambda must be non-negative"),
     ({"sarn": {"channels": 0}}, "sarn: kernel_size and channels must be positive"),
+    # the reference UMAP's solver tolerances are module constants, not keys
+    ({"umap": {"eps": 0.001}}, "unknown key 'umap.eps'"),
+    ({"umap": {"sigma_tol": 1e-5}}, "unknown key 'umap.sigma_tol'"),
+    ({"umap": {"sigma_max_iters": 64}}, "unknown key 'umap.sigma_max_iters'"),
+    ({"lasso": {"grid_count": 1}}, "lasso: grid_count must be at least 2"),
+    (
+        {"lasso": {"selection": {"strategy": "lambda_at", "value": -0.5}}},
+        "lasso.selection: lambda_at value must be non-negative, got -0.5",
+    ),
 ]
 
 
