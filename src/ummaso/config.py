@@ -5,16 +5,17 @@ The settings dataclasses here, with `umap.UmapConfig`,
 they configure, are the only statement of the schema: a field's name is its
 JSON key, its annotation the accepted type and its default the value of an
 omitted key. `pipeline_config_from_dict` walks them to parse a document
-strictly (unknown keys and type errors name the full key path; the range
-errors each class's `__post_init__` raises name their section, as in
-`sarn: rank must lie in ...`); `config_to_dict` is its inverse and writes the
-manifest's config echo. `validate` adds the checks that need the data. A
-field marked `metadata={"derived": True}` is set by the program, not by the
-document.
+strictly (unknown keys, type errors and non-finite numbers name the full
+key path; the range errors each class's `__post_init__` raises name their
+section, as in `sarn: rank must lie in ...`); `config_to_dict` is its
+inverse and writes the manifest's config echo. `validate` adds the checks
+that need the data. A field marked `metadata={"derived": True}` is set by
+the program, not by the document.
 """
 
 from __future__ import annotations
 
+import sys
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 
@@ -53,6 +54,8 @@ class PipelineConfig:
             raise ValueError(f"balance must be one of {BALANCE_MODES}")
         if self.feature_mode not in FEATURE_MODES:
             raise ValueError(f"feature_mode must be one of {FEATURE_MODES}")
+        if not 0.0 < self.train_fraction < 1.0:  # as ds.SplitSpec checks it
+            raise ValueError("train_fraction must lie in (0, 1)")
 
     @property
     def uses_umap(self) -> bool:
@@ -101,6 +104,9 @@ def _cast(tp, value, path: str):
     accepted, noun = _SCALARS[tp]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"'{path}' must be {noun}")
+    # json reads NaN and Infinity, and NaN passes every range check
+    if tp is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"'{path}' must be a finite number")
     return tp(value)
 
 

@@ -34,6 +34,7 @@ from .config import (  # the settings classes and echo are re-exported here
 from .errors import DataFormatError, StageError
 from .lasso import load_path_csv  # re-exported; lasso owns the path CSV format
 from .sarn import network as nw
+from .umap import load_embedding_csv  # re-exported; umap owns the embedding CSV format
 
 SEED_SPLIT = 101
 SEED_OVERSAMPLE = 211
@@ -66,10 +67,8 @@ class PipelineArtifacts:
     feature_names: list[str]
     class_names: list[str]
     standardization: ds.StandardizationParams
-    # standardized (post-balance) training rows and their labels, which the
-    # out-of-sample embedding reads; train_points is None without UMAP, and
-    # train_labels too once reloaded, as no artifact stores them then
-    train_points: np.ndarray | None
+    # the (post-balance) training labels; None once reloaded without UMAP, as
+    # only embedding.csv stores them
     train_labels: np.ndarray | None
     graph: um.NeighborGraph | None
     embedding: um.Embedding | None
@@ -84,32 +83,9 @@ class PipelineArtifacts:
 
     @cached_property
     def knn_index(self):
-        """The search tree over train_points, built on the first transform_new
-        and kept for this object's lifetime; not a field, so not saved."""
-        return um.knn_index(self.train_points)
-
-
-def _embed_new(
-    X_std: np.ndarray,
-    graph: um.NeighborGraph,
-    embedding: um.Embedding,
-    train_points: np.ndarray,
-    index=None,
-) -> np.ndarray:
-    """Out-of-sample coordinates: a weighted average of the k nearest training
-    embeddings, weighted by the stored per-point rho/sigma memberships. A point
-    coinciding exactly with a training point copies that point's coordinates.
-    `index` is um.knn_index(train_points), built per call when not given."""
-    nearest, dists = um.build_knn(train_points, graph.k, queries=X_std, index=index)
-    coords = embedding.coordinates
-    weights = um.directed_weight(dists, graph.rho[nearest], graph.sigma[nearest])
-    total = weights.sum(axis=1)
-    # coincident point, or so remote that every membership underflowed:
-    # fall back to the nearest training embedding
-    copy = (dists[:, 0] == 0.0) | (total <= 0.0)
-    out = (weights[:, None, :] @ coords[nearest])[:, 0] / np.where(copy, 1.0, total)[:, None]
-    out[copy] = coords[nearest[copy, 0]]
-    return out
+        """The search tree over graph.points, built on the first transform_new;
+        cached here (not a field, so not saved), not on the graph a fit holds."""
+        return um.knn_index(self.graph.points)
 
 
 def _assemble(
@@ -161,7 +137,7 @@ def run(data: ds.Dataset, config: PipelineConfig) -> PipelineArtifacts:
         umap_cfg = replace(config.umap, seed=config.seed + SEED_UMAP)
         with stage("umap"):
             graph, embedding = um.embed(train_std.features, umap_cfg)
-            test_coords = _embed_new(test_features, graph, embedding, train_std.features)
+            test_coords = um.transform(graph, embedding, test_features)
 
     path = ranking = selected = None
     if config.uses_lasso:
@@ -197,7 +173,6 @@ def run(data: ds.Dataset, config: PipelineConfig) -> PipelineArtifacts:
         feature_names=list(data.feature_names),
         class_names=list(data.class_names),
         standardization=std_params,
-        train_points=train_std.features if config.uses_umap else None,
         train_labels=train_std.labels,
         graph=graph,
         embedding=embedding,
@@ -222,16 +197,13 @@ def transform_new(artifacts: PipelineArtifacts, X_new: np.ndarray) -> np.ndarray
     std = ds.apply_standardization(X_new, artifacts.standardization)
     coords = None
     if artifacts.config.uses_umap:
-        coords = _embed_new(
-            std, artifacts.graph, artifacts.embedding, artifacts.train_points, artifacts.knn_index
-        )
+        coords = um.transform(artifacts.graph, artifacts.embedding, std, artifacts.knn_index)
     return _assemble(std, coords, artifacts.selected, artifacts.config.feature_mode)
 
 
 def save_artifacts(artifacts: PipelineArtifacts, out_dir: str) -> None:
     """Write the artifacts directory (one file per stage output + manifest).
-    graph.json holds each NeighborGraph field under its name, plus the
-    training points the out-of-sample embedding searches."""
+    graph.json holds each NeighborGraph field under its name."""
     os.makedirs(out_dir, exist_ok=True)
     join = lambda name: os.path.join(out_dir, name)
 
@@ -245,8 +217,11 @@ def save_artifacts(artifacts: PipelineArtifacts, out_dir: str) -> None:
         },
     )
     if artifacts.graph is not None:
-        doc = {f.name: getattr(artifacts.graph, f.name).tolist() for f in _GRAPH_FIELDS}
-        ds.write_json(join("graph.json"), {**doc, "points": artifacts.train_points.tolist()})
+        # built in the call, so its lists are freed before the next file
+        ds.write_json(
+            join("graph.json"),
+            {f.name: getattr(artifacts.graph, f.name).tolist() for f in _GRAPH_FIELDS},
+        )
     if artifacts.embedding is not None:
         um.embedding_to_csv(
             artifacts.embedding.coordinates, artifacts.train_labels, join("embedding.csv")
@@ -282,12 +257,6 @@ def save_artifacts(artifacts: PipelineArtifacts, out_dir: str) -> None:
     )
 
 
-def load_embedding_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    header, rows = ds.read_table(path)
-    table = ds.float_columns(path, header, rows, header)
-    return table[:, :-1], table[:, -1].astype(np.int64)
-
-
 def load_history_csv(path: str) -> nw.TrainHistory:
     header, rows = ds.read_table(path)
     table = ds.float_columns(path, header, rows, HISTORY_COLUMNS[1:])
@@ -313,12 +282,11 @@ def load_artifacts(out_dir: str) -> PipelineArtifacts:
     std = ds.StandardizationParams(
         means=np.asarray(std_doc["means"]), std_devs=np.asarray(std_doc["std_devs"])
     )
-    graph = embedding = train_points = train_labels = None
+    graph = embedding = train_labels = None
     if config.uses_umap:
         g = ds.read_json(join("graph.json"))
         # JSON ints, bools and floats parse back to int64, bool and float64
         graph = um.NeighborGraph(**{f.name: np.asarray(g[f.name]) for f in _GRAPH_FIELDS})
-        train_points = np.asarray(g["points"])
         coords, train_labels = load_embedding_csv(join("embedding.csv"))
         embedding = um.Embedding(
             coordinates=coords,
@@ -334,7 +302,6 @@ def load_artifacts(out_dir: str) -> PipelineArtifacts:
         feature_names=list(manifest["feature_names"]),
         class_names=list(manifest["class_names"]),
         standardization=std,
-        train_points=train_points,
         train_labels=train_labels,
         graph=graph,
         embedding=embedding,

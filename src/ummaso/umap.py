@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import write_table
+from .dataset import float_columns, read_table, write_table
 from .errors import NumericalError
 
 logger = logging.getLogger(__name__)
@@ -88,15 +88,17 @@ class UmapConfig:
 
 @dataclass(frozen=True)
 class NeighborGraph:
-    """k-NN structure plus the calibrated fuzzy edge weights.
+    """Training rows (points), their k-NN structure and calibrated fuzzy weights.
 
     Edges are stored as parallel arrays (edge_i[t] < edge_j[t]); every weight
     lies in [0, 1] (a clamped sigma can underflow a directed weight to 0; such
     an edge is kept). sigma_converged marks points whose bandwidth satisfied
     the membership equation instead of being clamped. The fields are the
-    whole fitted graph: graph.json stores each one under its field name.
+    whole fitted graph, which transform embeds new rows with: graph.json
+    stores each one under its field name.
     """
 
+    points: np.ndarray
     neighbor_indices: np.ndarray
     neighbor_distances: np.ndarray
     rho: np.ndarray
@@ -381,10 +383,8 @@ def spectral_init(graph: NeighborGraph, e: int, seed: int) -> np.ndarray:
     and the e + 1 eigenvalues are logged at debug level.
     """
     n = graph.n_points
-    if n == 0:
-        raise ValueError("graph is empty")
-    if e >= n:
-        raise ValueError(f"out_dim too large: need e < n_points, got e={e}, n={n}")
+    if e + 1 >= n:  # ARPACK needs e + 1 < n; an empty graph fails here too
+        raise ValueError(f"out_dim too large: need e + 1 < n_points, got e={e}, n={n}")
     rng = np.random.default_rng(seed)
     try:
         vals, vecs = _sparse_eigs(graph, e, seed)
@@ -503,6 +503,7 @@ def build_graph(X: np.ndarray, config: UmapConfig) -> NeighborGraph:
     edge_i, edge_j = np.divmod(keys, n)
     edge_v = symmetrize(up, down)
     return NeighborGraph(
+        points=X,
         neighbor_indices=indices,
         neighbor_distances=distances,
         rho=rho,
@@ -526,8 +527,31 @@ def embed(X: np.ndarray, config: UmapConfig) -> tuple[NeighborGraph, Embedding]:
     return graph, optimize_layout(graph, init, config)
 
 
+def transform(graph: NeighborGraph, embedding: Embedding, X: np.ndarray, index=None) -> np.ndarray:
+    """Out-of-sample coordinates: a weighted average of the k nearest training
+    embeddings, weighted by the stored per-point rho/sigma memberships. A point
+    coinciding exactly with a training point copies that point's coordinates.
+    `index` is knn_index(graph.points), built per call when not given."""
+    nearest, dists = build_knn(graph.points, graph.k, queries=X, index=index)
+    coords = embedding.coordinates
+    weights = directed_weight(dists, graph.rho[nearest], graph.sigma[nearest])
+    total = weights.sum(axis=1)
+    # coincident point, or so remote that every membership underflowed:
+    # fall back to the nearest training embedding
+    copy = (dists[:, 0] == 0.0) | (total <= 0.0)
+    out = (weights[:, None, :] @ coords[nearest])[:, 0] / np.where(copy, 1.0, total)[:, None]
+    out[copy] = coords[nearest[copy, 0]]
+    return out
+
+
 def embedding_to_csv(coords: np.ndarray, labels: np.ndarray, path: str) -> None:
     """Write scatter-plot data: dim_0..dim_{e-1},label."""
     coords = np.asarray(coords, dtype=np.float64)
     header = [f"dim_{i}" for i in range(coords.shape[1])] + ["label"]
     write_table(path, header, ([*row, label] for row, label in zip(coords.tolist(), labels)))
+
+
+def load_embedding_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    header, rows = read_table(path)
+    table = float_columns(path, header, rows, header)
+    return table[:, :-1], table[:, -1].astype(np.int64)

@@ -363,7 +363,7 @@ def test_criterion_12_cli_robustness(regression_run, tmp_path, capsys):
     assert len(loaded.history) == 200
     assert loaded.metrics_report.accuracy >= 0.90
     coords, labels = pl.load_embedding_csv(os.path.join(out_a, "embedding.csv"))
-    assert coords.shape[0] == labels.size == loaded.train_points.shape[0]
+    assert coords.shape[0] == labels.size == loaded.graph.n_points
     path_back = pl.load_path_csv(os.path.join(out_a, "lasso_path.csv"))
     assert path_back.lambdas.size == 100
     ok(12, f"{cases} fuzz cases exited 2/3/4 with diagnostics; artifacts round-trip")

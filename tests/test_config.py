@@ -82,6 +82,16 @@ CASES = [
         {"lasso": {"selection": {"strategy": "lambda_at", "value": -0.5}}},
         "lasso.selection: lambda_at value must be non-negative, got -0.5",
     ),
+    # json reads NaN and Infinity; NaN would pass every range check
+    ({"umap": {"b": float("nan")}}, "'umap.b' must be a finite number"),
+    ({"sarn": {"learning_rate": float("inf")}}, "'sarn.learning_rate' must be a finite number"),
+    (
+        {"lasso": {"selection": {"strategy": "lambda_at", "value": float("nan")}}},
+        "'lasso.selection.value' must be a finite number",
+    ),
+    ({"umap": {"a": 10**400}}, "'umap.a' must be a finite number"),
+    ({"train_fraction": 0}, "train_fraction must lie in (0, 1)"),
+    ({"train_fraction": 1}, "train_fraction must lie in (0, 1)"),
 ]
 
 

@@ -215,7 +215,7 @@ def test_test_row_embedding_failure_maps_to_umap_stage(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("embedding failed")
 
-    monkeypatch.setattr(pl, "_embed_new", broken)
+    monkeypatch.setattr(um, "transform", broken)
     data = soil_data(counts=(30, 15, 10), seed=8)
     with pytest.raises(StageError) as info:
         pl.run(data, quick_config(umap=UmapConfig(k=8, epochs=2)))
@@ -226,7 +226,7 @@ def find_training_row(data, artifacts):
     """Index of a raw row whose standardized image is bitwise a training point."""
     std = ds.apply_standardization(data.features, artifacts.standardization)
     for idx in range(data.n_samples):
-        member = np.flatnonzero(np.all(artifacts.train_points == std[idx], axis=1))
+        member = np.flatnonzero(np.all(artifacts.graph.points == std[idx], axis=1))
         if member.size:
             return idx, int(member[0])
     raise AssertionError("no training row found")
@@ -238,7 +238,7 @@ class TestTransformNew:
         idx, member = find_training_row(data, artifacts)
         feats = pl.transform_new(artifacts, data.features[idx : idx + 1])
         expect = pl._assemble(
-            artifacts.train_points[member : member + 1],
+            artifacts.graph.points[member : member + 1],
             artifacts.embedding.coordinates[member : member + 1],
             artifacts.selected,
             config.feature_mode,
@@ -332,15 +332,11 @@ class TestArtifactsIO:
             if uses_umap:
                 for f in fields(um.NeighborGraph):
                     same(getattr(artifacts.graph, f.name), getattr(loaded.graph, f.name))
-                same(artifacts.train_points, loaded.train_points)
                 same(artifacts.train_labels, loaded.train_labels)
                 assert artifacts.embedding.epoch_losses.size == artifacts.config.umap.epochs
                 for name in ("coordinates", "epoch_losses"):
                     same(getattr(artifacts.embedding, name), getattr(loaded.embedding, name))
                 assert loaded.embedding.final_loss == artifacts.embedding.final_loss
-            else:
-                # only the out-of-sample embedding reads the training rows
-                assert artifacts.train_points is None and loaded.train_points is None
             assert type(loaded.model) is type(artifacts.model)
             for name, value in artifacts.model.head_params().items():
                 same(value, getattr(loaded.model, name))
@@ -357,6 +353,13 @@ class TestArtifactsIO:
             X_new = data.features[:7]
             same(pl.transform_new(artifacts, X_new), pl.transform_new(loaded, X_new))
 
+    def test_graph_json_holds_exactly_the_graph_fields(self, default_run, tmp_path):
+        _, _, artifacts = default_run
+        out = tmp_path / "artifacts"
+        pl.save_artifacts(artifacts, str(out))
+        doc = json.loads((out / "graph.json").read_text())
+        assert set(doc) == {f.name for f in fields(um.NeighborGraph)}
+
     def test_one_search_tree_per_loaded_directory(self, default_run, tmp_path, monkeypatch):
         data, _, artifacts = default_run
         out = str(tmp_path / "artifacts")
@@ -372,12 +375,12 @@ class TestArtifactsIO:
         first = pl.transform_new(loaded, data.features[:9])
         second = pl.transform_new(loaded, data.features[:9])
         np.testing.assert_array_equal(first, second)
-        assert built == [loaded.train_points.shape]
+        assert built == [loaded.graph.points.shape]
         # the tree is a cache, not a field: save, load and equality ignore it
         assert [f.name for f in fields(pl.PipelineArtifacts)] == [
-            "config", "feature_names", "class_names", "standardization", "train_points",
-            "train_labels", "graph", "embedding", "lasso_path", "ranking", "selected",
-            "model", "history", "metrics_report", "timings", "stages",
+            "config", "feature_names", "class_names", "standardization", "train_labels",
+            "graph", "embedding", "lasso_path", "ranking", "selected", "model",
+            "history", "metrics_report", "timings", "stages",
         ]
 
     def test_metrics_json_deterministic_bytes(self, default_run, tmp_path):

@@ -13,6 +13,7 @@ from ummaso.errors import NumericalError
 
 def single_edge_graph(weight=1.0):
     return um.NeighborGraph(
+        points=np.array([[0.0], [1.0]]),
         neighbor_indices=np.array([[1], [0]]),
         neighbor_distances=np.array([[1.0], [1.0]]),
         rho=np.array([1.0, 1.0]),
@@ -67,6 +68,7 @@ def sequential_layout_epoch(coords, edge_i, edge_j, edge_v, order, negatives, lr
 def two_clique_graph():
     # nodes {0,1} and {2,3} form two disconnected unit-weight pairs
     return um.NeighborGraph(
+        points=np.array([[0.0], [1.0], [5.0], [6.0]]),
         neighbor_indices=np.array([[1], [0], [3], [2]]),
         neighbor_distances=np.ones((4, 1)),
         rho=np.ones(4),
@@ -83,6 +85,7 @@ def ring_graph(n):
     # so ARPACK's result depends on the vectors it starts and restarts from
     idx = np.arange(n)
     return um.NeighborGraph(
+        points=np.column_stack([np.cos(2 * np.pi * idx / n), np.sin(2 * np.pi * idx / n)]),
         neighbor_indices=np.column_stack([(idx - 1) % n, (idx + 1) % n]),
         neighbor_distances=np.ones((n, 2)),
         rho=np.ones(n),
@@ -219,8 +222,10 @@ class TestSpectralInit:
         assert np.sign(v1[:2].mean()) != np.sign(v1[2:].mean())
 
     def test_out_dim_too_large(self):
-        with pytest.raises(ValueError, match="out_dim too large"):
-            um.spectral_init(two_clique_graph(), 4, seed=0)
+        # ARPACK needs e + 1 < n: e = 3 on 4 points is refused too
+        for e in (4, 3):
+            with pytest.raises(ValueError, match=r"out_dim too large: need e \+ 1 < n_points"):
+                um.spectral_init(two_clique_graph(), e, seed=0)
 
     def test_deterministic(self):
         graph = two_clique_graph()
