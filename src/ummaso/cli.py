@@ -53,6 +53,13 @@ def _metrics_line(report: mt.MetricsReport) -> str:
     )
 
 
+def non_negative_int(text: str) -> int:
+    """--seed's type, so that argparse names the flag before any stage runs."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return int(text)
+
+
 def _read_config(args) -> tuple[PipelineConfig, IoSettings]:
     """The --config document (empty without one) parsed strictly, with the
     --label-column flag, when given, overriding its label column."""
@@ -195,7 +202,7 @@ def cmd_select(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON configuration file")
-    common.add_argument("--seed", type=int, help="override the master seed")
+    common.add_argument("--seed", type=non_negative_int, help="override the master seed")
     common.add_argument(
         "--label-column", default=None, help="label column name (default: fertility)"
     )

@@ -50,6 +50,8 @@ class PipelineConfig:
     sarn: SarnSettings = field(default_factory=SarnSettings)
 
     def __post_init__(self):
+        if self.seed < 0:  # as ds.SplitSpec checks it, before any stage
+            raise ValueError(f"'seed' must be non-negative, got {self.seed}")
         if self.balance not in BALANCE_MODES:
             raise ValueError(f"balance must be one of {BALANCE_MODES}")
         if self.feature_mode not in FEATURE_MODES:

@@ -41,7 +41,7 @@ SEED_OVERSAMPLE = 211
 SEED_UMAP = 307
 SEED_SARN = 401
 
-MANIFEST_VERSION = 5
+MANIFEST_VERSION = 6
 
 ARTIFACT_FILES = (
     "standardization.json",
@@ -137,7 +137,7 @@ def run(data: ds.Dataset, config: PipelineConfig) -> PipelineArtifacts:
         umap_cfg = replace(config.umap, seed=config.seed + SEED_UMAP)
         with stage("umap"):
             graph, embedding = um.embed(train_std.features, umap_cfg)
-            test_coords = um.transform(graph, embedding, test_features)
+            test_coords = um.transform(graph, embedding, test_features, umap_cfg.k)
 
     path = ranking = selected = None
     if config.uses_lasso:
@@ -197,7 +197,9 @@ def transform_new(artifacts: PipelineArtifacts, X_new: np.ndarray) -> np.ndarray
     std = ds.apply_standardization(X_new, artifacts.standardization)
     coords = None
     if artifacts.config.uses_umap:
-        coords = um.transform(artifacts.graph, artifacts.embedding, std, artifacts.knn_index)
+        coords = um.transform(
+            artifacts.graph, artifacts.embedding, std, artifacts.config.umap.k, artifacts.knn_index
+        )
     return _assemble(std, coords, artifacts.selected, artifacts.config.feature_mode)
 
 

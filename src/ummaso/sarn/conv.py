@@ -83,8 +83,7 @@ def factorize_kernel(
     """Per-channel rank-q1 factorization of R (kh, kw, m, n).
 
     Returns S (m, q1, n), Q (m, kh, kw, q1) and the per-channel Frobenius
-    reconstruction errors. Singular values are folded into S so pruning small
-    S entries removes weak basis contributions.
+    reconstruction errors. Singular values are folded into S.
     """
     R = np.asarray(R, dtype=np.float64)
     kh, kw, m, n = R.shape

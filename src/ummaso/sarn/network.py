@@ -32,7 +32,6 @@ from ..errors import NumericalError
 from .conv import FactorizedKernel, collapse, collapse_backward
 
 PROB_CLAMP = 1e-12  # lower bound on probabilities inside KL terms
-PRUNE_THRESHOLD = 1e-3  # |S| entries below this are zeroed after training
 
 DKL_HEAD = "dkl_head"
 SOFTMAX_REG = "softmax_reg"
@@ -449,8 +448,7 @@ def train(
 
     History rows are computed at the end of each epoch over the full train
     and validation sets in evaluation mode, so the final row matches what
-    predict() reproduces. A `SarnModel` trains with dropout, and its small S
-    entries are pruned to exact zeros before the final evaluation.
+    predict() reproduces. A `SarnModel` trains with dropout.
     """
     if settings.loss_head != model_init.head:
         raise ValueError(
@@ -486,8 +484,6 @@ def train(
                 )
             for name, grad in grads.items():
                 params[name] -= settings.learning_rate * grad
-        if epoch == epochs - 1 and dkl_head:
-            model.S[np.abs(model.S) < PRUNE_THRESHOLD] = 0.0
         history.train_loss[epoch], history.train_accuracy[epoch] = _evaluate(
             model, X_train, y_train, settings
         )

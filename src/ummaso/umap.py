@@ -88,19 +88,16 @@ class UmapConfig:
 
 @dataclass(frozen=True)
 class NeighborGraph:
-    """Training rows (points), their k-NN structure and calibrated fuzzy weights.
+    """Training rows (points), their calibrated bandwidths and fuzzy edges.
 
     Edges are stored as parallel arrays (edge_i[t] < edge_j[t]); every weight
     lies in [0, 1] (a clamped sigma can underflow a directed weight to 0; such
     an edge is kept). sigma_converged marks points whose bandwidth satisfied
-    the membership equation instead of being clamped. The fields are the
-    whole fitted graph, which transform embeds new rows with: graph.json
-    stores each one under its field name.
+    the membership equation instead of being clamped. The layout reads the
+    edges, transform reads points, rho and sigma; graph.json stores each field.
     """
 
     points: np.ndarray
-    neighbor_indices: np.ndarray
-    neighbor_distances: np.ndarray
     rho: np.ndarray
     sigma: np.ndarray
     sigma_converged: np.ndarray
@@ -110,11 +107,7 @@ class NeighborGraph:
 
     @property
     def n_points(self) -> int:
-        return self.neighbor_indices.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.neighbor_indices.shape[1]
+        return self.points.shape[0]
 
     @property
     def rho_degenerate(self) -> np.ndarray:
@@ -504,8 +497,6 @@ def build_graph(X: np.ndarray, config: UmapConfig) -> NeighborGraph:
     edge_v = symmetrize(up, down)
     return NeighborGraph(
         points=X,
-        neighbor_indices=indices,
-        neighbor_distances=distances,
         rho=rho,
         sigma=sigma,
         sigma_converged=converged,
@@ -527,12 +518,12 @@ def embed(X: np.ndarray, config: UmapConfig) -> tuple[NeighborGraph, Embedding]:
     return graph, optimize_layout(graph, init, config)
 
 
-def transform(graph: NeighborGraph, embedding: Embedding, X: np.ndarray, index=None) -> np.ndarray:
-    """Out-of-sample coordinates: a weighted average of the k nearest training
-    embeddings, weighted by the stored per-point rho/sigma memberships. A point
-    coinciding exactly with a training point copies that point's coordinates.
-    `index` is knn_index(graph.points), built per call when not given."""
-    nearest, dists = build_knn(graph.points, graph.k, queries=X, index=index)
+def transform(graph: NeighborGraph, embedding: Embedding, X, k: int, index=None) -> np.ndarray:
+    """Out-of-sample coordinates: a weighted average of the k (the graph's
+    UmapConfig.k) nearest training embeddings, by the stored rho/sigma
+    memberships. A point coinciding exactly with a training point copies its
+    coordinates. `index` is knn_index(graph.points), built per call if not given."""
+    nearest, dists = build_knn(graph.points, k, queries=X, index=index)
     coords = embedding.coordinates
     weights = directed_weight(dists, graph.rho[nearest], graph.sigma[nearest])
     total = weights.sum(axis=1)

@@ -190,6 +190,16 @@ class TestFit:
         )
         assert code == 0, err
 
+    def test_negative_seed_exits_2_naming_the_flag(self, workspace, tmp_path, capsys):
+        _, data_csv, _, _ = workspace
+        out = tmp_path / "o"
+        code, stdout, err = run_cli(
+            capsys, "fit", "--data", data_csv, "--out", str(out), "--seed", "-200"
+        )
+        assert code == 2 and stdout == ""
+        assert "--seed" in err and "stage 'split'" not in err
+        assert not out.exists()
+
     def test_top_k_above_feature_count_exits_2_before_fitting(
         self, workspace, tmp_path, capsys
     ):
@@ -386,7 +396,7 @@ class TestPredict:
         manifest["manifest_version"] = 4
         manifest["config"]["umap"].update(eps=0.001, sigma_tol=1e-5, sigma_max_iters=64)
         (old / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(DataFormatError, match=r"manifest_version 4 is not 5; refit"):
+        with pytest.raises(DataFormatError, match=r"manifest_version 4 is not 6; refit"):
             pl.load_artifacts(str(old))
         code, stdout, err = run_cli(
             capsys, "predict", "--artifacts", str(old), "--data", data_csv,

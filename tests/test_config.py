@@ -92,6 +92,7 @@ CASES = [
     ({"umap": {"a": 10**400}}, "'umap.a' must be a finite number"),
     ({"train_fraction": 0}, "train_fraction must lie in (0, 1)"),
     ({"train_fraction": 1}, "train_fraction must lie in (0, 1)"),
+    ({"seed": -200}, "'seed' must be non-negative, got -200"),
 ]
 
 

@@ -359,6 +359,10 @@ class TestArtifactsIO:
         pl.save_artifacts(artifacts, str(out))
         doc = json.loads((out / "graph.json").read_text())
         assert set(doc) == {f.name for f in fields(um.NeighborGraph)}
+        # the per-row k-NN lists stay inside build_graph
+        assert set(doc) == {
+            "points", "rho", "sigma", "sigma_converged", "edge_i", "edge_j", "edge_v",
+        }
 
     def test_one_search_tree_per_loaded_directory(self, default_run, tmp_path, monkeypatch):
         data, _, artifacts = default_run

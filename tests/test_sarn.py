@@ -449,17 +449,6 @@ class TestTrain:
         _, labels = nw.predict(trained, X)
         assert float(np.mean(labels == y)) == history.train_accuracy[-1]
 
-    def test_small_s_entries_pruned_to_exact_zero(self):
-        X, y = separable_three_class(seed=21)
-        model = nw.init_model(
-            3, 3, nw.SarnSettings(kernel_size=2, channels=4, rank=2, hidden=8), seed=5
-        )
-        trained, _ = nw.train((X, y), (X, y), model,
-                              nw.SarnSettings(epochs=5, learning_rate=0.05, batch_size=16), seed=1)
-        small = np.abs(trained.S[trained.S != 0.0])
-        if small.size:
-            assert small.min() >= nw.PRUNE_THRESHOLD
-
     def test_non_finite_loss_aborts(self):
         X, y = separable_three_class(seed=22)
         model = nw.init_model(

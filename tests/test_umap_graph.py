@@ -21,14 +21,15 @@ def oracle_knn(points, k, queries=None):
     return indices, distances
 
 
-def oracle_edges(graph):
+def oracle_edges(graph, k):
     """Symmetrized edges built through two dicts, keyed by directed and by
-    undirected pair."""
+    undirected pair, from the k-NN lists of the graph's points."""
+    indices, distances = um.build_knn(graph.points, k)
     directed = {}
     for i in range(graph.n_points):
-        weights = um.directed_weight(graph.neighbor_distances[i], graph.rho[i], graph.sigma[i])
-        for idx in range(graph.k):
-            directed[(i, int(graph.neighbor_indices[i, idx]))] = float(weights[idx])
+        weights = um.directed_weight(distances[i], graph.rho[i], graph.sigma[i])
+        for idx in range(k):
+            directed[(i, int(indices[i, idx]))] = float(weights[idx])
     combined = {}
     for (i, j), v_ji in directed.items():
         key = (i, j) if i < j else (j, i)
@@ -326,7 +327,7 @@ class TestBuildGraph:
     )
     def test_edges_bit_equal_to_dict_symmetrization(self, points, k):
         graph = um.build_graph(points, um.UmapConfig(k=k))
-        edge_i, edge_j, edge_v = oracle_edges(graph)
+        edge_i, edge_j, edge_v = oracle_edges(graph, k)
         np.testing.assert_array_equal(graph.edge_i, edge_i)
         np.testing.assert_array_equal(graph.edge_j, edge_j)
         assert graph.edge_i.dtype == graph.edge_j.dtype == np.int64
@@ -346,10 +347,11 @@ class TestBuildGraph:
         cfg = um.UmapConfig(k=10)
         graph = um.build_graph(X, cfg)
         target = np.log2(cfg.k)
+        _, distances = um.build_knn(graph.points, cfg.k)
         for i in range(50):
             if not graph.sigma_converged[i]:
                 continue
-            gaps = np.maximum(0.0, graph.neighbor_distances[i] - graph.rho[i])
+            gaps = np.maximum(0.0, distances[i] - graph.rho[i])
             assert abs(np.exp(-gaps / graph.sigma[i]).sum() - target) < 1e-5
 
     def test_duplicates_flagged_degenerate(self):

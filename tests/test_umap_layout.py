@@ -14,8 +14,6 @@ from ummaso.errors import NumericalError
 def single_edge_graph(weight=1.0):
     return um.NeighborGraph(
         points=np.array([[0.0], [1.0]]),
-        neighbor_indices=np.array([[1], [0]]),
-        neighbor_distances=np.array([[1.0], [1.0]]),
         rho=np.array([1.0, 1.0]),
         sigma=np.array([1.0, 1.0]),
         sigma_converged=np.array([True, True]),
@@ -69,8 +67,6 @@ def two_clique_graph():
     # nodes {0,1} and {2,3} form two disconnected unit-weight pairs
     return um.NeighborGraph(
         points=np.array([[0.0], [1.0], [5.0], [6.0]]),
-        neighbor_indices=np.array([[1], [0], [3], [2]]),
-        neighbor_distances=np.ones((4, 1)),
         rho=np.ones(4),
         sigma=np.ones(4),
         sigma_converged=np.ones(4, dtype=bool),
@@ -86,8 +82,6 @@ def ring_graph(n):
     idx = np.arange(n)
     return um.NeighborGraph(
         points=np.column_stack([np.cos(2 * np.pi * idx / n), np.sin(2 * np.pi * idx / n)]),
-        neighbor_indices=np.column_stack([(idx - 1) % n, (idx + 1) % n]),
-        neighbor_distances=np.ones((n, 2)),
         rho=np.ones(n),
         sigma=np.ones(n),
         sigma_converged=np.ones(n, dtype=bool),
