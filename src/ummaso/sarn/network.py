@@ -21,8 +21,9 @@ a `SoftmaxRegModel`, and each holds its own head's fitted values only;
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -32,6 +33,7 @@ from ..errors import NumericalError
 from .conv import FactorizedKernel, collapse, collapse_backward
 
 PROB_CLAMP = 1e-12  # lower bound on probabilities inside KL terms
+_TINY = np.finfo(np.float64).tiny
 
 DKL_HEAD = "dkl_head"
 SOFTMAX_REG = "softmax_reg"
@@ -43,9 +45,9 @@ MODEL_FORMAT_VERSION = 4
 def stable_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     """Softmax with max subtraction; -inf entries get exactly zero weight."""
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - np.max(z, axis=axis, keepdims=True)
+    shifted = z - z.max(axis=axis, keepdims=True)
     ez = np.exp(shifted)
-    return ez / np.sum(ez, axis=axis, keepdims=True)
+    return ez / ez.sum(axis=axis, keepdims=True)
 
 
 def smooth_labels(labels: np.ndarray, n_classes: int, eps: float) -> np.ndarray:
@@ -56,35 +58,63 @@ def smooth_labels(labels: np.ndarray, n_classes: int, eps: float) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
+def _smoothed_rows(n_classes: int, eps: float) -> np.ndarray:
+    """Row c is `smooth_labels` of class c; indexing it by labels gives the
+    same values as smoothing them."""
+    table = smooth_labels(np.arange(n_classes), n_classes, eps)
+    table.flags.writeable = False
+    return table
+
+
+def _distributions(y, yp) -> tuple[np.ndarray, np.ndarray]:
+    y = np.asarray(y, dtype=np.float64)
+    yp = np.asarray(yp, dtype=np.float64)
+    if y.shape != yp.shape:
+        raise ValueError("distribution length mismatch")
+    return y, yp
+
+
+def _kl_rows(y: np.ndarray, yp: np.ndarray) -> np.ndarray:
+    """`kl` of two float arrays of one shape, unchecked."""
+    yp = np.maximum(yp, PROB_CLAMP)
+    terms = np.where(y > 0.0, y * np.log(np.maximum(y, _TINY) / yp), 0.0)
+    return terms.sum(axis=-1)
+
+
+def _dkl_rows(y: np.ndarray, yp: np.ndarray) -> np.ndarray:
+    """`dkl` of two float arrays of one shape, unchecked."""
+    return 0.5 * _kl_rows(y, yp) + 0.5 * _kl_rows(yp, y)
+
+
 def kl(y, yp) -> np.ndarray | float:
     """sum_i y_i log(y_i / yp_i) with yp clamped to >= 1e-12 and 0*log0 := 0.
 
     Accepts single distributions or batches (summed over the last axis).
     """
-    y = np.asarray(y, dtype=np.float64)
-    yp = np.asarray(yp, dtype=np.float64)
-    if y.shape != yp.shape:
-        raise ValueError("distribution length mismatch")
-    yp = np.maximum(yp, PROB_CLAMP)
-    tiny = np.finfo(np.float64).tiny
-    terms = np.where(y > 0.0, y * np.log(np.maximum(y, tiny) / yp), 0.0)
-    total = terms.sum(axis=-1)
+    total = _kl_rows(*_distributions(y, yp))
     return float(total) if total.ndim == 0 else total
 
 
 def dkl(y, yp) -> np.ndarray | float:
     """Symmetric divergence 0.5*KL(y||yp) + 0.5*KL(yp||y)."""
-    return 0.5 * kl(y, yp) + 0.5 * kl(yp, y)
+    total = _dkl_rows(*_distributions(y, yp))
+    return float(total) if total.ndim == 0 else total
+
+
+def _objective(targets: np.ndarray, probs: np.ndarray, params, reg_lambda: float) -> float:
+    """`loss` of (batch, classes) float arrays of one shape, unchecked; the
+    training step and the history rows compute their loss values here."""
+    penalty = 0.5 * reg_lambda * sum(float((p * p).sum()) for p in params)
+    return float(_dkl_rows(targets, probs).mean()) + penalty
 
 
 def loss(y_batch: np.ndarray, yp_batch: np.ndarray, params, reg_lambda: float) -> float:
     """Mean DKL over the batch plus (reg_lambda/2) * sum of squared parameters."""
-    y_batch = np.atleast_2d(np.asarray(y_batch, dtype=np.float64))
-    yp_batch = np.atleast_2d(np.asarray(yp_batch, dtype=np.float64))
+    y_batch, yp_batch = _distributions(np.atleast_2d(y_batch), np.atleast_2d(yp_batch))
     if y_batch.shape[0] == 0:
         raise ValueError("empty batch")
-    penalty = 0.5 * reg_lambda * sum(float(np.sum(p * p)) for p in params)
-    return float(np.mean(dkl(y_batch, yp_batch))) + penalty
+    return _objective(y_batch, yp_batch, params, reg_lambda)
 
 
 def softmax_reg_forward(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -302,9 +332,11 @@ def _forward(
     s = kernel.shape[0]
     patches = X[:, np.arange(positions)[:, None] + np.arange(s)].reshape(-1, s)
     H = (patches @ kernel).reshape(B, positions, n)
-    if not np.all(np.isfinite(H)):
+    if not np.isfinite(H).all():
         raise NumericalError("non-finite values in convolution output")
-    G = np.concatenate([H, np.broadcast_to(model.h_t, (B, positions, n))], axis=2)
+    G = np.empty((B, positions, 2 * n))
+    G[:, :, :n] = H
+    G[:, :, n:] = model.h_t
     A = G @ model.w_pw
     # the factor each score takes: 0 when masked or dropped
     if drop_mask is not None and dropout_rate > 0.0:
@@ -316,14 +348,14 @@ def _forward(
     pre = A * model.s_vec * scale
     pre[:, mask_len:] = -np.inf
     weights = stable_softmax(pre, axis=1)
-    if not np.all(np.isfinite(weights)):
+    if not np.isfinite(weights).all():
         raise NumericalError("non-finite attention weights")
     gated = weights[:, :, None] * H
     z = gated.reshape(B, -1)
     hidden = np.tanh(z @ model.w_out)
     logits = hidden @ model.v_out
     probs = stable_softmax(logits, axis=1)
-    if not np.all(np.isfinite(probs)):
+    if not np.isfinite(probs).all():
         raise NumericalError("non-finite output probabilities")
     return {
         "patches": patches,
@@ -377,12 +409,13 @@ def gradients(
 
     cache = _forward(model, X, drop_mask, settings.dropout_rate)
     positions, n = model.positions, model.h_t.size
-    targets = smooth_labels(labels, model.n_classes, settings.label_smoothing)
+    targets = _smoothed_rows(model.n_classes, settings.label_smoothing)[labels]
     probs = cache["probs"]
-    total = loss(targets, probs, model.head_params().values(), lam)
+    params = model.head_params()
+    total = _objective(targets, probs, params.values(), lam)
 
     g_probs = _dkl_grad_wrt_probs(targets, probs) / B
-    row_dot = np.sum(g_probs * probs, axis=1, keepdims=True)
+    row_dot = (g_probs * probs).sum(axis=1, keepdims=True)
     d_logits = probs * (g_probs - row_dot)
 
     hidden = cache["hidden"]
@@ -395,25 +428,25 @@ def gradients(
 
     weights = cache["weights"]
     H = cache["H"]
-    d_weights = np.sum(d_gated * H, axis=2)
+    d_weights = (d_gated * H).sum(axis=2)
     d_H = weights[:, :, None] * d_gated
 
-    w_dot = np.sum(d_weights * weights, axis=1, keepdims=True)
+    w_dot = (d_weights * weights).sum(axis=1, keepdims=True)
     d_scores = weights * (d_weights - w_dot)
     d_scaled = d_scores * cache["scale"]
     d_A = d_scaled * model.s_vec
-    d_s_vec = np.sum(d_scaled * cache["A"], axis=0)
+    d_s_vec = (d_scaled * cache["A"]).sum(axis=0)
 
     d_G = d_A[:, :, None] * model.w_pw
     d_w_pw = np.einsum("bpc,bp->c", cache["G"], d_A)
     d_H += d_G[:, :, :n]
-    d_h_t = np.sum(d_G[:, :, n:], axis=(0, 1))
+    d_h_t = d_G[:, :, n:].sum(axis=(0, 1))
 
     d_K = cache["patches"].T @ d_H.reshape(-1, n)
     d_P, d_Q, d_S = collapse_backward(model.P, model.Q, model.S, d_K[None, :, None, :])
 
     grads = dict(zip(DKL_PARAMS, (d_P, d_S, d_Q, d_w_pw, d_s_vec, d_h_t, d_w_out, d_v_out)))
-    for name, param in model.head_params().items():
+    for name, param in params.items():
         grads[name] += lam * param
     return total, grads
 
@@ -430,9 +463,9 @@ def _evaluate(
         cost = _softmax_reg_loss(probs, labels, model.theta, lam)
     else:
         probs = _forward(model, X)["probs"]
-        targets = smooth_labels(labels, model.n_classes, settings.label_smoothing)
-        cost = loss(targets, probs, model.head_params().values(), lam)
-    accuracy = float(np.mean(np.argmax(probs, axis=1) == labels))
+        targets = _smoothed_rows(model.n_classes, settings.label_smoothing)[labels]
+        cost = _objective(targets, probs, model.head_params().values(), lam)
+    accuracy = float((probs.argmax(axis=1) == labels).mean())
     return cost, accuracy
 
 
@@ -458,7 +491,14 @@ def train(
     X_val, y_val = val_data
     X_train = np.asarray(X_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.int64)
-    model = copy.deepcopy(model_init)
+    # the trained arrays are views of one buffer, so that a step updates them
+    # all in one operation, with the values of one update per array
+    init = model_init.head_params()
+    flat = np.concatenate([p.ravel() for p in init.values()])
+    pieces = np.split(flat, np.cumsum([p.size for p in init.values()])[:-1])
+    model = replace(
+        model_init, **{name: v.reshape(p.shape) for (name, p), v in zip(init.items(), pieces)}
+    )
     dkl_head = isinstance(model, SarnModel)
     epochs = settings.epochs
     history = TrainHistory(
@@ -469,27 +509,29 @@ def train(
     )
     rng = np.random.default_rng(seed)
     n = y_train.size
-    params = model.head_params()
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        for batch_no, start in enumerate(range(0, n, settings.batch_size)):
-            sel = order[start : start + settings.batch_size]
-            drop = None
-            if dkl_head and settings.dropout_rate > 0.0:
-                drop = rng.random((sel.size, model.mask_len)) < settings.dropout_rate
-            value, grads = gradients(model, X_train[sel], y_train[sel], settings, drop)
-            if not np.isfinite(value):
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_no}"
-                )
-            for name, grad in grads.items():
-                params[name] -= settings.learning_rate * grad
-        history.train_loss[epoch], history.train_accuracy[epoch] = _evaluate(
-            model, X_train, y_train, settings
-        )
-        history.val_loss[epoch], history.val_accuracy[epoch] = _evaluate(
-            model, X_val, y_val, settings
-        )
+    batch_size, rate, dropout = settings.batch_size, settings.learning_rate, settings.dropout_rate
+    # a diverging fit overflows before a check below names it; numpy's
+    # warnings about it would only repeat the NumericalError
+    with np.errstate(all="ignore"):
+        for epoch in range(epochs):
+            order = rng.permutation(n)
+            for batch_no, start in enumerate(range(0, n, batch_size)):
+                sel = order[start : start + batch_size]
+                drop = None
+                if dkl_head and dropout > 0.0:
+                    drop = rng.random((sel.size, model.mask_len)) < dropout
+                value, grads = gradients(model, X_train[sel], y_train[sel], settings, drop)
+                if not math.isfinite(value):
+                    raise NumericalError(
+                        f"non-finite loss at epoch {epoch}, batch {batch_no}"
+                    )
+                flat -= rate * np.concatenate([grads[name].ravel() for name in init])
+            history.train_loss[epoch], history.train_accuracy[epoch] = _evaluate(
+                model, X_train, y_train, settings
+            )
+            history.val_loss[epoch], history.val_accuracy[epoch] = _evaluate(
+                model, X_val, y_val, settings
+            )
     return model, history
 
 

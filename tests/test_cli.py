@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +276,33 @@ class TestFit:
         )
         assert code == 2
         assert "row 2" in err
+
+
+class TestNumericalAbort:
+    @pytest.mark.parametrize(
+        "sarn", [{"learning_rate": 1e6}, {"reg_lambda": 1e300}], ids=["rate", "reg"]
+    )
+    def test_diverging_sarn_prints_only_the_error_line(self, sarn, tmp_path, capsys):
+        # a separate process, so that numpy's RuntimeWarnings would reach the
+        # stderr a user sees rather than pytest's warning capture
+        data = str(tmp_path / "small.csv")
+        assert cli.main(["generate", "--per-class", "40,12,8", "--noise-std", "25",
+                         "--seed", "3", "--out", data]) == 0
+        capsys.readouterr()
+        config = tmp_path / "diverge.json"
+        config.write_text(json.dumps({"sarn": sarn}))
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("UMMASO_LOG", "PYTHONWARNINGS")}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from ummaso import cli; sys.exit(cli.main())",
+             "fit", "--data", data, "--out", str(tmp_path / "out"), "--seed", "1",
+             "--config", str(config)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 4
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: stage 'sarn' failed: "), lines
 
 
 class TestPredict:

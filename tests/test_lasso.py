@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ummaso import dataset as ds
 from ummaso import lasso as ls
 
 
@@ -151,6 +152,69 @@ class TestFitPath:
     def test_ascending_grid_rejected(self):
         with pytest.raises(ValueError):
             ls.fit_path(np.zeros((4, 2)), np.zeros(4), np.array([0.1, 0.2]))
+
+
+def residual_update_lasso(X, y, lam, warm_start=None):
+    """Cyclic coordinate descent that keeps the residual itself, as the
+    solver did before covariance updates: (beta, sweeps, converged)."""
+    n, p = X.shape
+    col_sq = np.einsum("ij,ij->j", X, X) / n
+    beta = np.zeros(p) if warm_start is None else np.array(warm_start, dtype=np.float64)
+    residual = y - np.mean(y - X @ beta) - X @ beta
+    for sweeps in range(1, ls.CD_MAX_SWEEPS + 1):
+        max_change = 0.0
+        for j in np.flatnonzero(col_sq):
+            old = beta[j]
+            partial = (X[:, j] @ residual) / n + col_sq[j] * old
+            new = np.sign(partial) * max(0.0, abs(partial) - lam) / col_sq[j]
+            if new != old:
+                residual -= X[:, j] * (new - old)
+                beta[j] = new
+                max_change = max(max_change, abs(new - old))
+        residual -= np.mean(residual)
+        if max_change < ls.CD_TOL:
+            return beta, sweeps, True
+    return beta, ls.CD_MAX_SWEEPS, False
+
+
+class TestCovarianceUpdates:
+    """Oversampled rows leave the standardized columns off-centre, so the
+    kernel's intercept re-fit must shift its gradient by the column means."""
+
+    def problem(self):
+        rng = np.random.default_rng(31)
+        labels = np.repeat([0, 1, 2], [50, 14, 8])
+        features = rng.normal(size=(labels.size, 5)) + labels[:, None] * [1.0, -0.5, 0.0, 2.0, 0.3]
+        features = (features - features.mean(axis=0)) / features.std(axis=0)
+        features = np.hstack([features[:, :2], np.zeros((labels.size, 1)), features[:, 2:]])
+        data = ds.oversample(ds.Dataset(features, list("abcdef"), labels, ["x", "y", "z"]), 7)
+        y = data.labels.astype(np.float64)
+        return data.features, y, ls.lambda_grid(data.features, y - y.mean(), 40)
+
+    def test_columns_are_not_centred(self):
+        X, _, _ = self.problem()
+        assert np.abs(X.mean(axis=0)).max() > 0.1
+        assert not X[:, 2].any()
+
+    def test_matches_residual_updates_along_the_warm_started_path(self):
+        X, y, grid = self.problem()
+        warm = None
+        oracle_coefs = []
+        for lam in grid:
+            beta, sweeps, converged = residual_update_lasso(X, y, lam, warm)
+            model = ls.fit_lasso(X, y, lam, warm_start=warm)
+            assert (model.iterations, model.converged) == (sweeps, converged)
+            np.testing.assert_allclose(model.coef, beta, rtol=0.0, atol=1e-12)
+            assert model.coef[2] == 0.0
+            oracle_coefs.append(beta)
+            warm = beta
+        path = ls.fit_path(X, y, grid)
+        oracle = ls.LassoPath(
+            lambdas=grid, coef_matrix=np.array(oracle_coefs), intercepts=path.intercepts,
+            df=path.df, mse=path.mse, converged=path.converged,
+        )
+        names = [str(j) for j in range(X.shape[1])]
+        assert ls.rank_features(path, names) == ls.rank_features(oracle, names)
 
 
 class TestRankFeatures:

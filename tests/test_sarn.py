@@ -1,11 +1,14 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ummaso import dataset as ds
+from ummaso import pipeline as pl
 from ummaso.errors import NumericalError
 from ummaso.sarn import conv as cv
 from ummaso.sarn import network as nw
@@ -525,3 +528,52 @@ class TestSerialization:
         doc["format_version"] = version
         with pytest.raises(ValueError, match=f"version {version}; refit to write format 4"):
             nw.model_from_dict(doc)
+
+
+DATA_DIR = Path(__file__).parent / "data"
+# dkl_head: attention dropout and a mask shorter than the 3 positions
+GOLDEN_SETTINGS = {
+    nw.DKL_HEAD: nw.SarnSettings(
+        kernel_size=3, channels=4, rank=2, hidden=6, dropout_rate=0.3, mask_len=2,
+        epochs=6, learning_rate=0.1, batch_size=8,
+    ),
+    nw.SOFTMAX_REG: nw.SarnSettings(
+        epochs=6, learning_rate=0.1, batch_size=8, reg_lambda=0.01, loss_head=nw.SOFTMAX_REG
+    ),
+}
+
+
+def write_golden_fit(head: str, out_dir: Path) -> None:
+    """Train `head` on the five measured features of lasso_select.csv (even
+    rows train, odd rows validate, standardized by the training rows) and
+    write model.json and history.csv as `pipeline.save_artifacts` does."""
+    header, rows = ds.read_table(str(DATA_DIR / "lasso_select.csv"))
+    table = ds.float_columns("lasso_select.csv", header, rows, ["N", "P", "K", "pH", "EC"])
+    labels = ds.float_columns("lasso_select.csv", header, rows, ["fertility"])[:, 0]
+    labels = labels.astype(np.int64)
+    X = (table - table[::2].mean(axis=0)) / table[::2].std(axis=0)
+    settings = GOLDEN_SETTINGS[head]
+    model = nw.init_model(X.shape[1], 3, settings, seed=3)
+    trained, h = nw.train(
+        (X[::2], labels[::2]), (X[1::2], labels[1::2]), model, settings, seed=4
+    )
+    nw.save_model(trained, str(out_dir / f"sarn_{head}_model.json"))
+    columns = (h.train_loss, h.train_accuracy, h.val_loss, h.val_accuracy)
+    ds.write_table(
+        str(out_dir / f"sarn_{head}_history.csv"), pl.HISTORY_COLUMNS,
+        zip(range(len(h)), *columns),
+    )
+
+
+class TestGoldenBytes:
+    """The stored files lock the arithmetic of SARN training: a change to
+    the order of its floating-point operations changes their bytes. They
+    were written with numpy 2.4 on OpenBLAS 0.3.31; another BLAS build may
+    round its matrix products differently."""
+
+    @pytest.mark.parametrize("head", [nw.DKL_HEAD, nw.SOFTMAX_REG])
+    def test_training_writes_the_stored_bytes(self, head, tmp_path):
+        write_golden_fit(head, tmp_path)
+        for kind in ("model.json", "history.csv"):
+            name = f"sarn_{head}_{kind}"
+            assert (tmp_path / name).read_bytes() == (DATA_DIR / name).read_bytes(), name
