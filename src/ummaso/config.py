@@ -19,6 +19,7 @@ import sys
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 
+from . import dataset as ds
 from .errors import ConfigError
 from .lasso import SelectionStrategy
 from .sarn import network as nw
@@ -153,12 +154,25 @@ def parse_cli_config(doc: dict) -> tuple[PipelineConfig, IoSettings]:
     return pipeline_config_from_dict(doc), io
 
 
-def validate(config: PipelineConfig, n_features: int, n_classes: int) -> None:
-    """Reject, before any stage runs, a top_k `k` above the feature count and
-    a config whose sarn model cannot be built at the classifier input width
-    known before fitting: `umap.out_dim`, top_k `k`, or their sum. A
-    lambda_at/min_mse selection's width is known only after LASSO, so the
-    features stage calls `check_sarn` then."""
+def validate(config: PipelineConfig, n_features: int, class_counts) -> None:
+    """Reject, before any stage runs, a UMAP graph that the training rows
+    cannot hold, a top_k `k` above the feature count and a config whose sarn
+    model cannot be built at the classifier input width known before
+    fitting: `umap.out_dim`, top_k `k`, or their sum. A lambda_at/min_mse
+    selection's width is known only after LASSO, so the features stage calls
+    `check_sarn` then. `class_counts` holds the data's rows per class."""
+    n_classes = len(class_counts)
+    # a class of fewer than 2 rows fails the split stage, which names it
+    if config.uses_umap and min(class_counts, default=0) >= 2:
+        train = [ds.split_train_count(int(c), config.train_fraction) for c in class_counts]
+        rows = n_classes * max(train) if config.balance == "oversample" else sum(train)
+        umap = config.umap
+        if umap.k >= rows:
+            raise ConfigError(f"'umap.k' {umap.k} must be below the training-row count {rows}")
+        if umap.out_dim + 1 >= rows:
+            raise ConfigError(
+                f"'umap.out_dim' {umap.out_dim} + 1 must be below the training-row count {rows}"
+            )
     selection = config.lasso.selection
     top_k = config.uses_lasso and selection.strategy == "top_k"
     if top_k and selection.k > n_features:

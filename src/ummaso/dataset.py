@@ -285,11 +285,17 @@ def _subset(data: Dataset, indices: np.ndarray) -> Dataset:
     return replace(data, features=data.features[indices], labels=data.labels[indices])
 
 
+def split_train_count(members: int, train_fraction: float) -> int:
+    """A class's training-row count in stratified_split: round(fraction *
+    members), clamped to keep at least one sample on each side."""
+    return min(max(int(round(train_fraction * members)), 1), members - 1)
+
+
 def stratified_split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Split per class at spec.train_fraction; every class lands on both sides.
 
-    Per-class train counts equal round(fraction * count) clamped to keep at
-    least one sample on each side. Row order within each part is preserved.
+    Per-class train counts are split_train_count's. Row order within each
+    part is preserved.
     """
     rng = np.random.default_rng(spec.seed)
     train_idx: list[np.ndarray] = []
@@ -299,8 +305,7 @@ def stratified_split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         if members.size < 2:
             raise ValueError(f"class {c} has {members.size} samples, need at least 2")
         perm = rng.permutation(members)
-        n_train = int(round(spec.train_fraction * members.size))
-        n_train = min(max(n_train, 1), members.size - 1)
+        n_train = split_train_count(members.size, spec.train_fraction)
         train_idx.append(perm[:n_train])
         test_idx.append(perm[n_train:])
     train = np.sort(np.concatenate(train_idx))

@@ -103,10 +103,10 @@ def _assemble(
 
 def run(data: ds.Dataset, config: PipelineConfig) -> PipelineArtifacts:
     """Execute the configured stages in order; any failure aborts with the
-    stage name. A config the sarn stage would reject at an input width known
-    up front raises ConfigError before the first stage. Fully deterministic
-    for a fixed (dataset, config)."""
-    validate(config, data.n_features, data.n_classes)
+    stage name. A config the umap or sarn stage would reject on a training-row
+    count or input width known up front raises ConfigError before the first
+    stage. Fully deterministic for a fixed (dataset, config)."""
+    validate(config, data.n_features, data.class_counts())
     timings: dict[str, float] = {}
     stages: list[str] = []
 

@@ -2,11 +2,14 @@
 
 The graph side computes, per point, the nearest-positive-neighbor distance
 rho_i and a bandwidth sigma_i calibrated so the total fuzzy membership of its
-neighborhood equals log2(k). Directed weights exp(-max(0, d - rho)/sigma) are
-symmetrized with the probabilistic t-conorm u + v - u*v. The layout side
-minimizes the fuzzy cross-entropy between graph weights and the Student-t
-similarities of the embedded points, by per-edge attraction plus uniformly
-sampled repulsion (negative sampling), starting from a spectral embedding.
+neighborhood equals log2(k). One bisection, solve_sigmas, calibrates every
+point at once: each step is one row-wise exp-and-sum over the points still
+being solved, and each point's sigma is bit-equal to bisecting it alone.
+Directed weights exp(-max(0, d - rho)/sigma) are symmetrized with the
+probabilistic t-conorm u + v - u*v. The layout side minimizes the fuzzy
+cross-entropy between graph weights and the Student-t similarities of the
+embedded points, by per-edge attraction plus uniformly sampled repulsion
+(negative sampling), starting from a spectral embedding.
 Each epoch is plain numpy: it walks the shuffled edges in chunks of
 LAYOUT_CHUNK, takes a chunk's attraction from one read of the coordinates and
 its repulsion one negative-sample column at a time, and scatters each with
@@ -214,48 +217,74 @@ def compute_rho(distances: np.ndarray) -> np.ndarray:
 
 
 def solve_sigma(distances_row: np.ndarray, rho: float, k: int) -> tuple[float, bool]:
-    """Bisect for the bandwidth whose total membership equals log2(k).
+    """Bisect one row for the bandwidth whose total membership equals log2(k).
 
-    The left-hand side sum_j exp(-max(0, d_j - rho)/sigma) increases from the
-    count of zero-gap neighbors toward the row length, so the target is
-    reachable only strictly between the two; unreachable targets return a
-    clamped sigma with converged=False, as does a bisection that ends SIGMA_TOL
-    or more off target. The clamp interval is [1e-3, 1e3] * mean positive gap
-    (sigma = 1.0 when no gap is positive).
+    The one-row case of solve_sigmas, with a float sigma and a bool
+    converged flag: the same schedule, clamps and bits.
+    """
+    sigma, converged = solve_sigmas([distances_row], [rho], k)
+    return float(sigma[0]), bool(converged[0])
+
+
+def solve_sigmas(distances: np.ndarray, rho: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of `distances`, bisect for the bandwidth whose total
+    membership equals log2(k); returns (sigma, converged) arrays.
+
+    Row i's left-hand side sum_j exp(-max(0, d_ij - rho_i)/sigma) increases
+    from the count of zero-gap neighbors toward the row length, so the target
+    is reachable only strictly between the two. The reachable rows are solved
+    together: each doubles its upper bound from 1 until its sum reaches the
+    target (at most 64 times), then all take SIGMA_MAX_ITERS bisection steps
+    of [0, hi], each one np.exp(...).sum(axis=1) over those rows. Every row
+    thus gets the bits of bisecting it alone. A row whose bisection ends
+    SIGMA_TOL or more off target, or whose target is unreachable, gets a
+    clamped sigma and converged=False. The clamp interval is [1e-3, 1e3] *
+    the row's mean positive gap (sigma = 1.0 when no gap is positive). That
+    mean is taken row by row over the compressed positive gaps: a zero-padded
+    row sums in another order and differs in the last bits.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    gaps = np.maximum(0.0, np.asarray(distances_row, dtype=np.float64) - rho)
+    rho = np.asarray(rho, dtype=np.float64)
+    gaps = np.maximum(0.0, np.asarray(distances, dtype=np.float64) - rho[:, None])
     target = np.log2(k)
-    positive = gaps[gaps > 0.0]
-    if positive.size == 0:
-        return 1.0, False
-    mean_gap = float(positive.mean())
-    lo_clamp, hi_clamp = 1e-3 * mean_gap, 1e3 * mean_gap
-    n_zero = gaps.size - positive.size
-    if target <= n_zero:
-        return lo_clamp, False
-    if target >= gaps.size:
-        return hi_clamp, False
-
-    def lhs(sigma: float) -> float:
-        return float(np.exp(-gaps / sigma).sum())
-
-    lo, hi = 0.0, 1.0
+    width = gaps.shape[1]
+    n_zero = width - np.count_nonzero(gaps > 0.0, axis=1)
+    has_gap = n_zero < width
+    sigma = np.ones(len(gaps))
+    converged = np.zeros(len(gaps), dtype=bool)
+    solve = np.flatnonzero(has_gap & (target > n_zero) & (target < width))
+    G = gaps if solve.size == len(gaps) else gaps[solve]
+    lo, hi = np.zeros(len(G)), np.ones(len(G))
+    below = np.arange(len(G))
     for _ in range(64):
-        if lhs(hi) >= target:
+        # not `< target`: a NaN sum keeps doubling, as in a one-row bisection
+        reached = _membership(G if below.size == len(G) else G[below], hi[below]) >= target
+        below = below[~reached]
+        if below.size == 0:
             break
-        hi *= 2.0
+        hi[below] *= 2.0
     for _ in range(SIGMA_MAX_ITERS):
         mid = 0.5 * (lo + hi)
-        if lhs(mid) < target:
-            lo = mid
+        under = _membership(G, mid) < target
+        lo, hi = np.where(under, mid, lo), np.where(under, hi, mid)
+    sigma[solve] = 0.5 * (lo + hi)
+    converged[solve] = np.abs(_membership(G, sigma[solve]) - target) < SIGMA_TOL
+    for i in np.flatnonzero(has_gap & ~converged):
+        mean_gap = float(gaps[i][gaps[i] > 0.0].mean())
+        lo_clamp, hi_clamp = 1e-3 * mean_gap, 1e3 * mean_gap
+        if target <= n_zero[i]:
+            sigma[i] = lo_clamp
+        elif target >= width:
+            sigma[i] = hi_clamp
         else:
-            hi = mid
-    sigma = 0.5 * (lo + hi)
-    if abs(lhs(sigma) - target) < SIGMA_TOL:
-        return sigma, True
-    return min(max(sigma, lo_clamp), hi_clamp), False
+            sigma[i] = min(max(sigma[i], lo_clamp), hi_clamp)
+    return sigma, converged
+
+
+def _membership(gaps: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Per row, the total fuzzy membership sum_j exp(-gaps_ij / sigma_i)."""
+    return np.exp(-gaps / sigma[:, None]).sum(axis=1)
 
 
 def directed_weight(d, rho, sigma):
@@ -475,14 +504,14 @@ def optimize_layout(
 
 
 def build_graph(X: np.ndarray, config: UmapConfig) -> NeighborGraph:
-    """k-NN graph with calibrated rho/sigma and symmetrized fuzzy weights."""
+    """k-NN graph with calibrated rho/sigma and symmetrized fuzzy weights.
+
+    Logs n, the unconverged sigma and rho_degenerate counts and the edge
+    count at debug level."""
     indices, distances = build_knn(X, config.k)
     n = indices.shape[0]
     rho = compute_rho(distances)
-    sigma = np.empty(n)
-    converged = np.empty(n, dtype=bool)
-    for i in range(n):
-        sigma[i], converged[i] = solve_sigma(distances[i], rho[i], config.k)
+    sigma, converged = solve_sigmas(distances, rho, config.k)
     weights = directed_weight(distances, rho[:, None], sigma[:, None]).ravel()
     rows = np.repeat(np.arange(n), config.k)
     cols = indices.ravel()
@@ -495,7 +524,7 @@ def build_graph(X: np.ndarray, config: UmapConfig) -> NeighborGraph:
     down[pair[rows > cols]] = weights[rows > cols]
     edge_i, edge_j = np.divmod(keys, n)
     edge_v = symmetrize(up, down)
-    return NeighborGraph(
+    graph = NeighborGraph(
         points=X,
         rho=rho,
         sigma=sigma,
@@ -504,6 +533,11 @@ def build_graph(X: np.ndarray, config: UmapConfig) -> NeighborGraph:
         edge_j=edge_j,
         edge_v=edge_v,
     )
+    logger.debug(
+        "umap graph: n=%d, unconverged sigmas %d, rho_degenerate %d, edges %d",
+        n, np.count_nonzero(~converged), np.count_nonzero(graph.rho_degenerate), edge_i.size,
+    )
+    return graph
 
 
 def embed(X: np.ndarray, config: UmapConfig) -> tuple[NeighborGraph, Embedding]:

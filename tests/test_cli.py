@@ -217,6 +217,36 @@ class TestFit:
         assert "'lasso.selection.k'" in err and "stage 'lasso'" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "umap, error",
+        [
+            ({"k": 48}, "'umap.k' 48 must be below the training-row count 48"),
+            ({"out_dim": 47}, "'umap.out_dim' 47 + 1 must be below the training-row count 48"),
+        ],
+    )
+    def test_umap_graph_larger_than_the_training_rows_exits_2_before_any_stage(
+        self, tmp_path, capsys, monkeypatch, umap, error
+    ):
+        # 40,12,8 rows split into 32 + 10 + 6 = 48 training rows
+        data_csv = str(tmp_path / "small.csv")
+        assert cli.main(["generate", "--per-class", "40,12,8", "--out", data_csv, "--seed", "3"]) == 0
+        calls = []
+        split = ds.stratified_split
+        monkeypatch.setattr(
+            ds, "stratified_split", lambda *a, **k: calls.append("split") or split(*a, **k)
+        )
+        config = tmp_path / "big_umap.json"
+        config.write_text(json.dumps({"umap": umap}))
+        out = tmp_path / "o"
+        capsys.readouterr()
+        code, stdout, err = run_cli(
+            capsys, "fit", "--data", data_csv, "--out", str(out), "--config", str(config)
+        )
+        assert code == 2 and stdout == ""
+        assert err == f"error: {error}\n"
+        assert calls == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("sarn", [{"rank": 9}, {"dropout_rate": 1.0}, {"mask_len": 0}])
     @pytest.mark.parametrize(
         "selection", [{"strategy": "min_mse"}, {"strategy": "lambda_at", "value": 0.01}]

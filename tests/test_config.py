@@ -12,6 +12,7 @@ from ummaso.config import (
     SarnSettings,
     config_to_dict,
     pipeline_config_from_dict,
+    validate,
 )
 from ummaso.errors import ConfigError
 from ummaso.lasso import SelectionStrategy
@@ -115,3 +116,38 @@ def test_readme_default_config_block_matches_the_schema():
     block = section.split("```json\n", 1)[1].split("```", 1)[0]
     doc = json.loads(re.sub(r"//[^\n]*", "", block))
     assert doc == {**config_to_dict(PipelineConfig()), **asdict(IoSettings())}
+
+
+# `generate --per-class 40,12,8` splits into 32 + 10 + 6 = 48 training rows at
+# the default train_fraction, and oversampling makes 3 * 32 = 96 of them
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        ({"umap": {"k": 48}}, "'umap.k' 48 must be below the training-row count 48"),
+        ({"umap": {"k": 47}}, None),
+        (
+            {"umap": {"out_dim": 47}},
+            "'umap.out_dim' 47 + 1 must be below the training-row count 48",
+        ),
+        ({"umap": {"out_dim": 46}}, None),
+        (
+            {"balance": "oversample", "umap": {"k": 96}},
+            "'umap.k' 96 must be below the training-row count 96",
+        ),
+        ({"balance": "oversample", "umap": {"k": 95}}, None),
+        # 20 + 6 + 4
+        (
+            {"train_fraction": 0.5, "umap": {"k": 30}},
+            "'umap.k' 30 must be below the training-row count 30",
+        ),
+        ({"feature_mode": "selected_only", "umap": {"k": 48}}, None),
+    ],
+)
+def test_validate_holds_umap_to_the_training_row_count(doc, error):
+    config = pipeline_config_from_dict(doc)
+    if error is None:
+        validate(config, 5, [40, 12, 8])
+        return
+    with pytest.raises(ConfigError) as info:
+        validate(config, 5, [40, 12, 8])
+    assert str(info.value) == error

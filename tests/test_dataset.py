@@ -228,6 +228,21 @@ class TestStratifiedSplit:
             rhs = data.class_counts()[c] / data.n_samples
             assert abs(lhs - rhs) <= 1.0 / train.n_samples + 1.0 / data.n_samples
 
+    @pytest.mark.parametrize(
+        "fraction, expect",
+        [
+            (0.5, [20, 6, 4, 2, 2, 1]),  # 2.5 and 1.5 round half to even
+            (0.8, [32, 10, 6, 4, 2, 1]),
+            (0.05, [2, 1, 1, 1, 1, 1]),  # at least one training row
+            (0.99, [39, 11, 7, 4, 2, 1]),  # at least one held-out row
+        ],
+    )
+    def test_train_counts_are_split_train_count(self, fraction, expect):
+        counts = (40, 12, 8, 5, 3, 2)
+        train, _ = ds.stratified_split(make_imbalanced(counts), ds.SplitSpec(fraction, seed=1))
+        np.testing.assert_array_equal(train.class_counts(), expect)
+        assert [ds.split_train_count(c, fraction) for c in counts] == expect
+
     def test_small_class_rejected(self):
         data = make_imbalanced(counts=(5, 1))
         with pytest.raises(ValueError, match="class 1"):

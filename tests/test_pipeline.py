@@ -136,10 +136,10 @@ class TestRun:
         assert artifacts.model.feature_width == expect
 
     def test_stage_errors_name_the_stage(self):
-        data = soil_data(counts=(6, 3, 3), seed=6)
-        config = quick_config(umap=UmapConfig(k=15, epochs=5))  # k >= train size
-        with pytest.raises(StageError, match="umap"):
-            pl.run(data, config)
+        data = soil_data(counts=(6, 3, 1), seed=6)  # one row cannot be split
+        with pytest.raises(StageError, match="split") as info:
+            pl.run(data, quick_config(umap=UmapConfig(k=15, epochs=5)))
+        assert info.value.stage == "split"
 
 
 @pytest.fixture

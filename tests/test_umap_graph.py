@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,6 +293,122 @@ class TestSolveSigma:
         assert lhs_hi > lhs_lo
 
 
+def per_row_solve_sigma(distances_row, rho, k):
+    """The bisection as it ran row by row before solve_sigmas: the oracle."""
+    gaps = np.maximum(0.0, np.asarray(distances_row, dtype=np.float64) - rho)
+    target = np.log2(k)
+    positive = gaps[gaps > 0.0]
+    if positive.size == 0:
+        return 1.0, False
+    mean_gap = float(positive.mean())
+    lo_clamp, hi_clamp = 1e-3 * mean_gap, 1e3 * mean_gap
+    n_zero = gaps.size - positive.size
+    if target <= n_zero:
+        return lo_clamp, False
+    if target >= gaps.size:
+        return hi_clamp, False
+
+    def lhs(sigma: float) -> float:
+        return float(np.exp(-gaps / sigma).sum())
+
+    lo, hi = 0.0, 1.0
+    for _ in range(64):
+        if lhs(hi) >= target:
+            break
+        hi *= 2.0
+    for _ in range(um.SIGMA_MAX_ITERS):
+        mid = 0.5 * (lo + hi)
+        if lhs(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    sigma = 0.5 * (lo + hi)
+    if abs(lhs(sigma) - target) < um.SIGMA_TOL:
+        return sigma, True
+    return min(max(sigma, lo_clamp), hi_clamp), False
+
+
+def assert_sigmas_match_oracle(distances, rho, k):
+    """solve_sigmas on the whole batch, and solve_sigma per row, equal the
+    oracle byte for byte; returns the converged flags."""
+    sigma, converged = um.solve_sigmas(distances, rho, k)
+    expect = [per_row_solve_sigma(distances[i], rho[i], k) for i in range(len(distances))]
+    assert sigma.tobytes() == np.array([s for s, _ in expect], dtype=np.float64).tobytes()
+    assert converged.tobytes() == np.array([c for _, c in expect], dtype=bool).tobytes()
+    assert [um.solve_sigma(distances[i], rho[i], k) for i in range(len(distances))] == expect
+    return converged
+
+
+def sigma_graph_cases():
+    rng = np.random.default_rng(12)
+    cases = {
+        "gaussian": rng.normal(size=(600, 4)),
+        "copied_4_times": np.repeat(rng.normal(size=(150, 3)), 4, axis=0),
+        "integer_grid": np.round(rng.normal(size=(500, 3)) * 2.0),
+        "oversampled": oversampled_soil(),
+    }
+    return [pytest.param(name, points, id=name) for name, points in cases.items()]
+
+
+@st.composite
+def sigma_problems(draw):
+    """A few unsorted rows of one width, often with repeated values, a rho
+    per row (the smallest positive distance, or any value) and a k."""
+    n = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 20))
+    values = st.one_of(
+        st.floats(0.0, 10.0), st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(1e-9, 1e6)
+    )
+    distances = np.array(draw(st.lists(values, min_size=n * width, max_size=n * width)))
+    distances = distances.reshape(n, width)
+    if draw(st.booleans()):
+        rho = um.compute_rho(distances)
+    else:
+        rho = np.array(draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n)))
+    return distances, rho, draw(st.integers(2, 20))
+
+
+class TestSolveSigmasOracle:
+    """solve_sigmas bisects every row at once; each row must get the bits of
+    the row-by-row bisection, clamped rows included."""
+
+    @pytest.mark.parametrize("k", [15, 5])
+    @pytest.mark.parametrize("name,points", sigma_graph_cases())
+    def test_graph_rows_bit_equal(self, name, points, k):
+        _, distances = um.build_knn(points, k)
+        converged = assert_sigmas_match_oracle(distances, um.compute_rho(distances), k)
+        if name == "gaussian":
+            assert converged.all()
+        if name == "copied_4_times" and k == 15:
+            assert not converged.any()  # 4 zero gaps reach log2(15): every row clamps
+        if name in ("integer_grid", "oversampled"):
+            assert 0 < np.count_nonzero(converged) < converged.size
+
+    @pytest.mark.parametrize(
+        "row,rho,k,expect",
+        [
+            ([2.0, 2.0, 2.0], 2.0, 3, 1.0),  # no positive gap
+            ([1.0, 1.0, 1.0, 5.0], 1.0, 4, 1e-3 * 4.0),  # target <= zero-gap count
+            ([1.0, 2.0, 4.0], 1.0, 16, 1e3 * 2.0),  # target >= row length
+            ([0.0, 1e300, 1e300], 0.0, 3, 1e-3 * 1e300),  # bisection cannot reach it
+        ],
+        ids=["no_positive_gap", "zero_gaps_reach_target", "row_too_short", "unconverged"],
+    )
+    def test_each_clamp_branch(self, row, rho, k, expect):
+        distances, rhos = np.array([row]), np.array([rho])
+        assert not assert_sigmas_match_oracle(distances, rhos, k)[0]
+        assert um.solve_sigma(row, rho, k) == (expect, False)
+
+    @given(problem=sigma_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_property_unsorted_rows_bit_equal(self, problem):
+        assert_sigmas_match_oracle(*problem)
+
+    def test_rejects_k_below_2(self):
+        with pytest.raises(ValueError):
+            um.solve_sigmas(np.ones((2, 3)), np.zeros(2), 1)
+
+
 class TestWeights:
     def test_directed_weight_examples(self):
         assert um.directed_weight(1.0, 1.0, 0.5) == 1.0
@@ -353,6 +471,19 @@ class TestBuildGraph:
                 continue
             gaps = np.maximum(0.0, distances[i] - graph.rho[i])
             assert abs(np.exp(-gaps / graph.sigma[i]).sum() - target) < 1e-5
+
+    def test_debug_line_counts_sigmas_degenerate_rows_and_edges(self, caplog):
+        # 4 copies (rho 0, each sigma clamped) beside 20 distinct points
+        X = np.vstack([np.zeros((4, 2)), np.random.default_rng(2).normal(size=(20, 2)) + 9])
+        with caplog.at_level(logging.DEBUG, logger="ummaso.umap"):
+            graph = um.build_graph(X, um.UmapConfig(k=3))
+        (message,) = [r.getMessage() for r in caplog.records]
+        unconverged = np.count_nonzero(~graph.sigma_converged)
+        assert message == (
+            f"umap graph: n=24, unconverged sigmas {unconverged}, rho_degenerate 4, "
+            f"edges {graph.edge_i.size}"
+        )
+        assert 4 <= unconverged < 24
 
     def test_duplicates_flagged_degenerate(self):
         X = np.vstack([np.zeros((4, 2)), np.ones((4, 2)) * 9])
