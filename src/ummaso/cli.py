@@ -22,7 +22,7 @@ from . import lasso as ls
 from . import metrics as mt
 from . import pipeline as pl
 from . import umap as um
-from .config import IoSettings, PipelineConfig, parse_cli_config
+from .config import IoSettings, PipelineConfig, check_lasso, check_umap, parse_cli_config
 from .errors import ConfigError, DataFormatError, NumericalError, StageError, UmmasoError
 from .sarn import network as nw
 
@@ -62,8 +62,11 @@ def non_negative_int(text: str) -> int:
 
 def _read_config(args) -> tuple[PipelineConfig, IoSettings]:
     """The --config document (empty without one) parsed strictly, with the
-    --label-column flag, when given, overriding its label column."""
+    --seed and --label-column flags, when given, overriding its master seed
+    and label column."""
     config, io = parse_cli_config(ds.read_json(args.config) if args.config else {})
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
     return config, replace(io, label_column=args.label_column or io.label_column)
 
 
@@ -112,8 +115,6 @@ def cmd_fit(args) -> int:
         raise ConfigError("no input data: pass --data or set 'data' in the config")
     if out_dir is None:
         raise ConfigError("no output directory: pass --out or set 'out' in the config")
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
     data = ds.load_csv(data_path, label_column=io.label_column)
     logger.info("loaded %d rows, %d features", data.n_samples, data.n_features)
     artifacts = pl.run(data, config)
@@ -171,26 +172,22 @@ def cmd_evaluate(args) -> int:
 
 def cmd_reduce(args) -> int:
     config, io = _read_config(args)
-    master = args.seed if args.seed is not None else config.seed
-    umap_cfg = replace(config.umap, seed=master + pl.SEED_UMAP)
     data = ds.load_csv(args.data, label_column=io.label_column)
+    check_umap(config.umap, data.n_samples)  # the graph holds every row
     standardized, _ = ds.standardize(data)
-    _, embedding = um.embed(standardized.features, umap_cfg)
+    _, embedding = um.embed(standardized.features, config.umap, config.seed + pl.SEED_UMAP)
     um.embedding_to_csv(embedding.coordinates, data.labels, args.out)
-    print(f"rows={data.n_samples} dims={umap_cfg.out_dim}")
+    print(f"rows={data.n_samples} dims={config.umap.out_dim}")
     return 0
 
 
 def cmd_select(args) -> int:
     config, io = _read_config(args)
     data = ds.load_csv(args.data, label_column=io.label_column)
+    check_lasso(config.lasso.selection, data.n_features)
     standardized, _ = ds.standardize(data)
     path, ranking, selected = ls.fit_selection(
-        standardized.features,
-        standardized.labels,
-        standardized.feature_names,
-        config.lasso.grid_count,
-        config.lasso.selection,
+        standardized.features, standardized.labels, standardized.feature_names, config.lasso
     )
     os.makedirs(args.out, exist_ok=True)
     ls.path_to_csv(path, os.path.join(args.out, "lasso_path.csv"))

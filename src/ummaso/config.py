@@ -1,7 +1,7 @@
 """The configuration schema and its strict JSON form.
 
-The settings dataclasses here, with `umap.UmapConfig`,
-`lasso.SelectionStrategy` and `sarn.network.SarnSettings` beside the code
+The settings dataclasses here, with `umap.UmapConfig`, `lasso.LassoSettings`
+(and its `SelectionStrategy`) and `sarn.network.SarnSettings` beside the code
 they configure, are the only statement of the schema: a field's name is its
 JSON key, its annotation the accepted type and its default the value of an
 omitted key. `pipeline_config_from_dict` walks them to parse a document
@@ -9,8 +9,8 @@ strictly (unknown keys, type errors and non-finite numbers name the full
 key path; the range errors each class's `__post_init__` raises name their
 section, as in `sarn: rank must lie in ...`); `config_to_dict` is its
 inverse and writes the manifest's config echo. `validate` adds the checks
-that need the data. A field marked `metadata={"derived": True}` is set by
-the program, not by the document.
+that need the data; `check_umap` and `check_lasso`, two of them, also guard
+the single-stage commands `reduce` and `select`.
 """
 
 from __future__ import annotations
@@ -21,23 +21,13 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 from . import dataset as ds
 from .errors import ConfigError
-from .lasso import SelectionStrategy
+from .lasso import LassoSettings, SelectionStrategy  # LassoSettings is re-exported
 from .sarn import network as nw
 from .sarn.network import SarnSettings  # re-exported with the other sections
 from .umap import UmapConfig
 
 FEATURE_MODES = ("selected_only", "embedding_only", "selected_plus_embedding")
 BALANCE_MODES = ("none", "oversample")
-
-
-@dataclass(frozen=True)
-class LassoSettings:
-    grid_count: int = 100
-    selection: SelectionStrategy = field(default_factory=SelectionStrategy)
-
-    def __post_init__(self):
-        if self.grid_count < 2:
-            raise ValueError("grid_count must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -86,10 +76,6 @@ _SCALARS = {
 }
 
 
-def _keys(cls) -> list:
-    return [f for f in fields(cls) if not f.metadata.get("derived")]
-
-
 def _object(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"'{path or 'config'}' must be an object")
@@ -121,7 +107,7 @@ def _parse(cls, doc, path: str):
     prefix = path + "." if path else ""
     kwargs = {
         f.name: _cast(hints[f.name], doc.pop(f.name), prefix + f.name)
-        for f in _keys(cls)
+        for f in fields(cls)
         if f.name in doc
     }
     if doc:
@@ -135,7 +121,7 @@ def _parse(cls, doc, path: str):
 def config_to_dict(config) -> dict:
     """The JSON form of a settings dataclass, every key present."""
     doc = {}
-    for f in _keys(config):
+    for f in fields(config):
         value = getattr(config, f.name)
         doc[f.name] = config_to_dict(value) if is_dataclass(value) else value
     return doc
@@ -165,25 +151,38 @@ def validate(config: PipelineConfig, n_features: int, class_counts) -> None:
     # a class of fewer than 2 rows fails the split stage, which names it
     if config.uses_umap and min(class_counts, default=0) >= 2:
         train = [ds.split_train_count(int(c), config.train_fraction) for c in class_counts]
-        rows = n_classes * max(train) if config.balance == "oversample" else sum(train)
-        umap = config.umap
-        if umap.k >= rows:
-            raise ConfigError(f"'umap.k' {umap.k} must be below the training-row count {rows}")
-        if umap.out_dim + 1 >= rows:
-            raise ConfigError(
-                f"'umap.out_dim' {umap.out_dim} + 1 must be below the training-row count {rows}"
-            )
+        check_umap(
+            config.umap, n_classes * max(train) if config.balance == "oversample" else sum(train)
+        )
     selection = config.lasso.selection
     top_k = config.uses_lasso and selection.strategy == "top_k"
-    if top_k and selection.k > n_features:
-        raise ConfigError(
-            f"'lasso.selection.k' {selection.k} exceeds the feature count {n_features}"
-        )
+    if config.uses_lasso:
+        check_lasso(selection, n_features)
     if not config.uses_lasso or top_k:
         width = (selection.k if top_k else 0) + (
             config.umap.out_dim if config.uses_umap else 0
         )
         check_sarn(config, n_classes, width)
+
+
+def check_umap(umap: UmapConfig, rows: int) -> None:
+    """Raise ConfigError naming the key if a graph over `rows` training rows
+    cannot hold `umap.k` neighbours or `umap.out_dim` + 1 eigenvectors."""
+    if umap.k >= rows:
+        raise ConfigError(f"'umap.k' {umap.k} must be below the training-row count {rows}")
+    if umap.out_dim + 1 >= rows:
+        raise ConfigError(
+            f"'umap.out_dim' {umap.out_dim} + 1 must be below the training-row count {rows}"
+        )
+
+
+def check_lasso(selection: SelectionStrategy, n_features: int) -> None:
+    """Raise ConfigError naming the key if a top_k `selection` asks for more
+    than the `n_features` features."""
+    if selection.strategy == "top_k" and selection.k > n_features:
+        raise ConfigError(
+            f"'lasso.selection.k' {selection.k} exceeds the feature count {n_features}"
+        )
 
 
 def check_sarn(config: PipelineConfig, n_classes: int, width: int) -> None:

@@ -10,7 +10,7 @@ non-zero while walking the grid from lambda_max downward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,6 +67,16 @@ class SelectionStrategy:
             raise ValueError("lambda_at requires a lambda value")
         if self.strategy == "lambda_at" and self.value < 0:
             raise ValueError(f"lambda_at value must be non-negative, got {self.value}")
+
+
+@dataclass(frozen=True)
+class LassoSettings:
+    grid_count: int = 100
+    selection: SelectionStrategy = field(default_factory=SelectionStrategy)
+
+    def __post_init__(self):
+        if self.grid_count < 2:
+            raise ValueError("grid_count must be at least 2")
 
 
 def lambda_grid(X: np.ndarray, y: np.ndarray, count: int = 100) -> np.ndarray:
@@ -247,18 +257,15 @@ def select(path: LassoPath, selection: SelectionStrategy) -> list[int]:
 
 
 def fit_selection(
-    X: np.ndarray,
-    labels: np.ndarray,
-    names: list[str],
-    grid_count: int,
-    selection: SelectionStrategy,
+    X: np.ndarray, labels: np.ndarray, names: list[str], settings: LassoSettings
 ) -> tuple[LassoPath, FeatureRanking, list[int]]:
     """The LASSO stage on standardized features: regress the centred labels
-    over a `grid_count` lambda grid, rank the features and select a subset."""
+    over a `settings.grid_count` lambda grid, rank the features and select a
+    subset by `settings.selection`."""
     response = np.asarray(labels, dtype=np.float64)
-    grid = lambda_grid(X, response - response.mean(), grid_count)
+    grid = lambda_grid(X, response - response.mean(), settings.grid_count)
     path = fit_path(X, response, grid)
-    return path, rank_features(path, names), select(path, selection)
+    return path, rank_features(path, names), select(path, settings.selection)
 
 
 def ranking_to_dict(ranking: FeatureRanking, selected: list[int]) -> dict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -134,20 +134,15 @@ def run(data: ds.Dataset, config: PipelineConfig) -> PipelineArtifacts:
 
     graph = embedding = test_coords = None
     if config.uses_umap:
-        umap_cfg = replace(config.umap, seed=config.seed + SEED_UMAP)
         with stage("umap"):
-            graph, embedding = um.embed(train_std.features, umap_cfg)
-            test_coords = um.transform(graph, embedding, test_features, umap_cfg.k)
+            graph, embedding = um.embed(train_std.features, config.umap, config.seed + SEED_UMAP)
+            test_coords = um.transform(graph, embedding, test_features, config.umap.k)
 
     path = ranking = selected = None
     if config.uses_lasso:
         with stage("lasso"):
             path, ranking, selected = ls.fit_selection(
-                train_std.features,
-                train_std.labels,
-                train_std.feature_names,
-                config.lasso.grid_count,
-                config.lasso.selection,
+                train_std.features, train_std.labels, train_std.feature_names, config.lasso
             )
 
     with stage("features"):

@@ -109,13 +109,12 @@ class FactorizedKernel:
     P: np.ndarray
     S: np.ndarray  # (m, q1, n)
     Q: np.ndarray  # (m, kh, kw, q1)
-    recon_errors: np.ndarray
 
     @classmethod
     def from_kernel(cls, K: np.ndarray, P: np.ndarray, q1: int) -> "FactorizedKernel":
         R = transform_kernel(K, P)
-        S, Q, errors = factorize_kernel(R, q1)
-        return cls(P=np.asarray(P, dtype=np.float64), S=S, Q=Q, recon_errors=errors)
+        S, Q, _ = factorize_kernel(R, q1)
+        return cls(P=np.asarray(P, dtype=np.float64), S=S, Q=Q)
 
 
 def collapse(P: np.ndarray, Q: np.ndarray, S: np.ndarray) -> np.ndarray:

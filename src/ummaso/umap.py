@@ -39,7 +39,7 @@ y += lr * step.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,8 +71,6 @@ class UmapConfig:
     epochs: int = 200
     learning_rate: float = 1.0  # initial value; decays linearly to 0
     negative_samples: int = 5
-    # set from the master seed, so not a config key
-    seed: int = field(default=0, metadata={"derived": True})
 
     def __post_init__(self):
         if self.k < 2:
@@ -458,9 +456,10 @@ def _edge_loss(coords: np.ndarray, graph: NeighborGraph, a: float, b: float) -> 
 
 
 def optimize_layout(
-    graph: NeighborGraph, init: np.ndarray, config: UmapConfig
+    graph: NeighborGraph, init: np.ndarray, config: UmapConfig, seed: int
 ) -> Embedding:
-    """Refine initial coordinates by seeded stochastic attraction/repulsion.
+    """Refine initial coordinates by stochastic attraction/repulsion, drawn
+    from a generator seeded with `seed`.
 
     Each epoch visits every positive edge in a freshly shuffled order, pulls
     both endpoints together, then pushes the first endpoint away from
@@ -474,7 +473,7 @@ def optimize_layout(
         raise ValueError("init row count does not match graph size")
     coords = init.copy()
     n_edges = graph.edge_i.size
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     losses = np.zeros(config.epochs)
     for epoch in range(config.epochs):
         lr = config.learning_rate * (1.0 - epoch / config.epochs)
@@ -540,16 +539,12 @@ def build_graph(X: np.ndarray, config: UmapConfig) -> NeighborGraph:
     return graph
 
 
-def embed(X: np.ndarray, config: UmapConfig) -> tuple[NeighborGraph, Embedding]:
-    """Full reduction: graph construction, spectral init, layout optimization."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[0] <= config.k:
-        raise ValueError(
-            f"need more points than neighbors: N={X.shape[0]}, k={config.k}"
-        )
-    graph = build_graph(X, config)
-    init = spectral_init(graph, config.out_dim, config.seed)
-    return graph, optimize_layout(graph, init, config)
+def embed(X: np.ndarray, config: UmapConfig, seed: int) -> tuple[NeighborGraph, Embedding]:
+    """Full reduction: graph construction, then spectral init and layout
+    optimization, both seeded with `seed`."""
+    graph = build_graph(np.asarray(X, dtype=np.float64), config)
+    init = spectral_init(graph, config.out_dim, seed)
+    return graph, optimize_layout(graph, init, config, seed)
 
 
 def transform(graph: NeighborGraph, embedding: Embedding, X, k: int, index=None) -> np.ndarray:

@@ -98,7 +98,7 @@ def test_criterion_03_umap_cluster_purity():
             ds.SynthConfig([100, 100, 100], centers, noise_std=1.0, seed=30)
         )
         std, _ = ds.standardize(data)
-        _, emb = um.embed(std.features, um.UmapConfig(k=12, out_dim=2, epochs=200, seed=31))
+        _, emb = um.embed(std.features, um.UmapConfig(k=12, out_dim=2, epochs=200), 31)
         Y = emb.coordinates
         d2 = ((Y[:, None, :] - Y[None, :, :]) ** 2).sum(-1)
         np.fill_diagonal(d2, np.inf)

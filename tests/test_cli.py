@@ -209,38 +209,53 @@ class TestFit:
         _, data_csv, _, _ = workspace  # five feature columns
         config = tmp_path / "wide_k.json"
         config.write_text(json.dumps({"lasso": {"selection": {"strategy": "top_k", "k": 7}}}))
-        out = tmp_path / "o"
-        code, stdout, err = run_cli(
-            capsys, "fit", "--data", data_csv, "--out", str(out), "--config", str(config)
-        )
-        assert code == 2 and stdout == ""
-        assert "'lasso.selection.k'" in err and "stage 'lasso'" not in err
-        assert not out.exists()
+        for command in ("fit", "select"):
+            out = tmp_path / command
+            code, stdout, err = run_cli(
+                capsys, command, "--data", data_csv, "--out", str(out), "--config", str(config)
+            )
+            assert code == 2 and stdout == "", command
+            assert err == "error: 'lasso.selection.k' 7 exceeds the feature count 5\n", command
+            assert not out.exists(), command
 
     @pytest.mark.parametrize(
-        "umap, error",
+        "umap, error, command",
         [
-            ({"k": 48}, "'umap.k' 48 must be below the training-row count 48"),
-            ({"out_dim": 47}, "'umap.out_dim' 47 + 1 must be below the training-row count 48"),
+            # fit splits 40,12,8 rows into 32 + 10 + 6 = 48 training rows
+            ({"k": 48}, "'umap.k' 48 must be below the training-row count 48", "fit"),
+            (
+                {"out_dim": 47},
+                "'umap.out_dim' 47 + 1 must be below the training-row count 48",
+                "fit",
+            ),
+            # reduce embeds all 60 rows
+            ({"k": 60}, "'umap.k' 60 must be below the training-row count 60", "reduce"),
+            (
+                {"out_dim": 59},
+                "'umap.out_dim' 59 + 1 must be below the training-row count 60",
+                "reduce",
+            ),
         ],
     )
     def test_umap_graph_larger_than_the_training_rows_exits_2_before_any_stage(
-        self, tmp_path, capsys, monkeypatch, umap, error
+        self, tmp_path, capsys, monkeypatch, umap, error, command
     ):
-        # 40,12,8 rows split into 32 + 10 + 6 = 48 training rows
         data_csv = str(tmp_path / "small.csv")
-        assert cli.main(["generate", "--per-class", "40,12,8", "--out", data_csv, "--seed", "3"]) == 0
+        assert cli.main([
+            "generate", "--per-class", "40,12,8", "--noise-std", "25", "--out", data_csv,
+            "--seed", "3",
+        ]) == 0
         calls = []
-        split = ds.stratified_split
-        monkeypatch.setattr(
-            ds, "stratified_split", lambda *a, **k: calls.append("split") or split(*a, **k)
-        )
+        for name in ("stratified_split", "standardize"):
+            real = getattr(ds, name)
+            spy = lambda *a, name=name, real=real, **k: calls.append(name) or real(*a, **k)
+            monkeypatch.setattr(ds, name, spy)
         config = tmp_path / "big_umap.json"
         config.write_text(json.dumps({"umap": umap}))
         out = tmp_path / "o"
         capsys.readouterr()
         code, stdout, err = run_cli(
-            capsys, "fit", "--data", data_csv, "--out", str(out), "--config", str(config)
+            capsys, command, "--data", data_csv, "--out", str(out), "--config", str(config)
         )
         assert code == 2 and stdout == ""
         assert err == f"error: {error}\n"

@@ -173,9 +173,7 @@ class TestSparseForward:
         I = rng.normal(size=(4, 4, 2))
         K = rng.normal(size=(2, 2, 2, 3))
         fk = cv.FactorizedKernel.from_kernel(K, np.eye(2), 3)
-        zeroed = cv.FactorizedKernel(
-            P=fk.P, S=np.zeros_like(fk.S), Q=fk.Q, recon_errors=fk.recon_errors
-        )
+        zeroed = cv.FactorizedKernel(P=fk.P, S=np.zeros_like(fk.S), Q=fk.Q)
         np.testing.assert_array_equal(cv.sparse_forward(I, zeroed), np.zeros((3, 3, 3)))
 
     def test_tabular_output_width(self):
@@ -225,7 +223,6 @@ class TestCollapse:
                 P=rng.normal(size=(m, m)),
                 S=rng.normal(size=(m, q1, n)),
                 Q=rng.normal(size=(m, s, s, q1)),
-                recon_errors=np.zeros(m),
             )
             np.testing.assert_allclose(
                 cv.direct_conv(I, cv.collapse(fk.P, fk.Q, fk.S)),

@@ -172,7 +172,7 @@ class TestForwardConsistency:
         if mask_len is not None:
             assert model.mask_len < model.positions
         X = np.random.default_rng(31).normal(size=(4, 9))
-        fk = cv.FactorizedKernel(model.P, model.S, model.Q, np.zeros(1))
+        fk = cv.FactorizedKernel(model.P, model.S, model.Q)
         H = nw._forward(model, X)["H"]
         for b in range(X.shape[0]):
             expect = cv.sparse_forward(X[b].reshape(1, 9, 1), fk)

@@ -1,4 +1,6 @@
 import logging
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,10 @@ import scipy.sparse.linalg
 
 from ummaso import dataset as ds
 from ummaso import umap as um
-from ummaso.cli import SOIL_CENTERS, SOIL_NOISE_STD
+from ummaso.cli import SOIL_CENTERS, SOIL_CLASS_NAMES, SOIL_FEATURE_NAMES, SOIL_NOISE_STD
 from ummaso.errors import NumericalError
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def single_edge_graph(weight=1.0):
@@ -325,12 +329,10 @@ class TestOptimizeLayout:
     def test_pure_attraction_shrinks_single_edge(self):
         graph = single_edge_graph()
         coords = np.array([[0.0, 0.0], [3.0, 0.0]])
-        config = um.UmapConfig(
-            k=2, out_dim=2, epochs=1, learning_rate=0.5, negative_samples=0, seed=0
-        )
+        config = um.UmapConfig(k=2, out_dim=2, epochs=1, learning_rate=0.5, negative_samples=0)
         distances = [3.0]
         for _ in range(20):
-            emb = um.optimize_layout(graph, coords, config)
+            emb = um.optimize_layout(graph, coords, config, 0)
             coords = emb.coordinates
             distances.append(float(np.linalg.norm(coords[0] - coords[1])))
         assert all(b < a for a, b in zip(distances, distances[1:]))
@@ -338,14 +340,14 @@ class TestOptimizeLayout:
     def test_zero_epochs_returns_init(self):
         graph = single_edge_graph()
         init = np.array([[0.0, 1.0], [2.0, -1.0]])
-        emb = um.optimize_layout(graph, init, um.UmapConfig(k=2, epochs=0))
+        emb = um.optimize_layout(graph, init, um.UmapConfig(k=2, epochs=0), 0)
         np.testing.assert_array_equal(emb.coordinates, init)
 
     def test_non_finite_init_aborts_with_location(self):
         graph = single_edge_graph()
         init = np.array([[np.nan, 0.0], [1.0, 0.0]])
         with pytest.raises(NumericalError, match="epoch 0"):
-            um.optimize_layout(graph, init, um.UmapConfig(k=2, epochs=1))
+            um.optimize_layout(graph, init, um.UmapConfig(k=2, epochs=1), 0)
 
     def test_kernel_step_matches_gradient_ops(self):
         # one edge, one fixed negative sample: the layout epoch must equal
@@ -452,7 +454,7 @@ class TestChunkedEpoch:
         init = rng.normal(size=(200, 2))
         init[17] = [np.nan, 0.0]
         with pytest.raises(NumericalError, match=r"epoch 0, edge \d+") as excinfo:
-            um.optimize_layout(graph, init, um.UmapConfig(k=10, epochs=3, seed=2))
+            um.optimize_layout(graph, init, um.UmapConfig(k=10, epochs=3), 2)
         edge = int(str(excinfo.value).rsplit(" ", 1)[1])
         assert 17 in (graph.edge_i[edge], graph.edge_j[edge])
 
@@ -472,19 +474,19 @@ class TestEmbed:
 
     def test_loss_estimate_decreases(self):
         data = self.cluster_data(n_per=34, n_clusters=3, seed=1)  # N=102
-        cfg = um.UmapConfig(k=8, out_dim=2, epochs=30, seed=4)
-        _, emb = um.embed(data.features, cfg)
+        cfg = um.UmapConfig(k=8, out_dim=2, epochs=30)
+        _, emb = um.embed(data.features, cfg, 4)
         assert np.all(np.isfinite(emb.coordinates))
         assert emb.epoch_losses[9] < emb.epoch_losses[0]
 
     def test_k_at_least_n_rejected(self):
         with pytest.raises(ValueError):
-            um.embed(np.zeros((5, 2)), um.UmapConfig(k=5))
+            um.embed(np.zeros((5, 2)), um.UmapConfig(k=5), 0)
 
     def test_one_dim_embedding_separates_two_clusters(self):
         data = self.cluster_data(n_per=40, n_clusters=2, seed=2)
-        cfg = um.UmapConfig(k=6, out_dim=1, epochs=60, seed=9)
-        _, emb = um.embed(data.features, cfg)
+        cfg = um.UmapConfig(k=6, out_dim=1, epochs=60)
+        _, emb = um.embed(data.features, cfg, 9)
         mean0 = emb.coordinates[data.labels == 0, 0].mean()
         mean1 = emb.coordinates[data.labels == 1, 0].mean()
         spread = emb.coordinates[:, 0].std()
@@ -492,18 +494,44 @@ class TestEmbed:
 
     def test_bit_identical_across_runs(self):
         data = self.cluster_data(n_per=25, seed=3)
-        cfg = um.UmapConfig(k=6, out_dim=2, epochs=20, seed=13)
-        _, emb1 = um.embed(data.features, cfg)
-        _, emb2 = um.embed(data.features, cfg)
+        cfg = um.UmapConfig(k=6, out_dim=2, epochs=20)
+        _, emb1 = um.embed(data.features, cfg, 13)
+        _, emb2 = um.embed(data.features, cfg, 13)
         np.testing.assert_array_equal(emb1.coordinates, emb2.coordinates)
         assert emb1.final_loss == emb2.final_loss
 
     def test_nearest_neighbor_purity(self):
         data = self.cluster_data(n_per=50, n_clusters=3, seed=5)
-        cfg = um.UmapConfig(k=10, out_dim=2, epochs=100, seed=21)
-        _, emb = um.embed(data.features, cfg)
+        cfg = um.UmapConfig(k=10, out_dim=2, epochs=100)
+        _, emb = um.embed(data.features, cfg, 21)
         Y = emb.coordinates
         d2 = ((Y[:, None, :] - Y[None, :, :]) ** 2).sum(-1)
         np.fill_diagonal(d2, np.inf)
         purity = (data.labels[d2.argmin(axis=1)] == data.labels).mean()
         assert purity >= 0.95
+
+
+def write_golden_embed(out_dir: Path) -> None:
+    """Embed the 60 standardized rows of `ummaso generate --per-class 40,12,8
+    --noise-std 25 --seed 3` at k 5 for 5 epochs, seed 7, and write
+    umap_embedding.csv and umap_graph.json as `pipeline.save_artifacts`
+    writes embedding.csv and graph.json."""
+    synth = ds.SynthConfig([40, 12, 8], np.asarray(SOIL_CENTERS), 25.0, seed=3)
+    data = ds.synth_generate(synth, SOIL_FEATURE_NAMES, SOIL_CLASS_NAMES)
+    graph, emb = um.embed(ds.standardize(data)[0].features, um.UmapConfig(k=5, epochs=5), 7)
+    um.embedding_to_csv(emb.coordinates, data.labels, str(out_dir / "umap_embedding.csv"))
+    doc = {f.name: getattr(graph, f.name).tolist() for f in fields(um.NeighborGraph)}
+    ds.write_json(str(out_dir / "umap_graph.json"), doc)
+
+
+class TestGoldenBytes:
+    """The stored files lock the UMAP stage's arithmetic and its use of the
+    seed: a change to the order of its floating-point operations, or to the
+    draws made from the seed, changes their bytes. They were written with
+    numpy 2.4 and scipy 1.17 on OpenBLAS 0.3.31; another build may round the
+    spectral init's eigenvectors differently."""
+
+    def test_embed_writes_the_stored_bytes(self, tmp_path):
+        write_golden_embed(tmp_path)
+        for name in ("umap_embedding.csv", "umap_graph.json"):
+            assert (tmp_path / name).read_bytes() == (DATA_DIR / name).read_bytes(), name
