@@ -17,6 +17,12 @@ standalone alternative on the same features.
 a `SoftmaxRegModel`, and each holds its own head's fitted values only;
 `gradients` and `train` read the training hyper-parameters from
 `SarnSettings`, and `model.json` (format 4) stores no copy of them.
+
+Each head has one backward, which writes its gradient, weight decay included,
+into one flat vector laid out as the head's parameters (`head_params` order).
+`train` holds the parameters as views of one such vector and steps them with
+one update; `gradients` runs the same backward and returns views of its
+vector by name.
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ from .conv import FactorizedKernel, collapse, collapse_backward
 
 PROB_CLAMP = 1e-12  # lower bound on probabilities inside KL terms
 _TINY = np.finfo(np.float64).tiny
+# an L2 penalty below this stays finite whatever order its squares are summed
+# in (the largest double is about 1.8e308), so a step need not compute it exactly
+_PENALTY_MARGIN = 1e300
 
 DKL_HEAD = "dkl_head"
 SOFTMAX_REG = "softmax_reg"
@@ -127,9 +136,15 @@ def softmax_reg_forward(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"feature width {X.shape[1]} does not match theta width {theta.shape[1] - 1}"
         )
-    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
-    probs = stable_softmax(Xa @ theta.T, axis=1)
+    probs = _softmax_reg_probs(X, theta)[1]
     return probs[0] if single else probs
+
+
+def _softmax_reg_probs(X: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`softmax_reg_forward` of a (batch, width) float array, unchecked; also
+    returns the inputs with their bias column, which the backward reads."""
+    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
+    return Xa, stable_softmax(Xa @ theta.T, axis=1)
 
 
 def softmax_reg_cost(
@@ -309,6 +324,14 @@ def init_model(
     )
 
 
+@lru_cache(maxsize=8)
+def _patch_index(positions: int, s: int) -> np.ndarray:
+    """Row p holds the feature columns of the patch at position p."""
+    index = np.arange(positions)[:, None] + np.arange(s)
+    index.flags.writeable = False
+    return index
+
+
 def _forward(
     model: SarnModel,
     X: np.ndarray,
@@ -330,7 +353,7 @@ def _forward(
     # the 1 x s single-channel kernel as an (s, n) matrix
     kernel = collapse(model.P, model.Q, model.S)[0, :, 0, :]
     s = kernel.shape[0]
-    patches = X[:, np.arange(positions)[:, None] + np.arange(s)].reshape(-1, s)
+    patches = X[:, _patch_index(positions, s)].reshape(-1, s)
     H = (patches @ kernel).reshape(B, positions, n)
     if not np.isfinite(H).all():
         raise NumericalError("non-finite values in convolution output")
@@ -378,51 +401,51 @@ def _dkl_grad_wrt_probs(y: np.ndarray, p: np.ndarray) -> np.ndarray:
     return 0.5 * (-y / p_hat) + 0.5 * (np.log(p_hat / y_hat) + 1.0)
 
 
-def gradients(
-    model: Model,
-    X: np.ndarray,
-    labels: np.ndarray,
-    settings: SarnSettings,
-    drop_mask: np.ndarray | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss value and exact analytic gradients for every trainable parameter
-    of `model`, with the L2 weight, label smoothing and dropout rate of
-    `settings`. A provided drop_mask is honored as-is, so finite difference
-    checks can fix the dropout pattern (or omit it entirely)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
-        raise ValueError("empty batch")
-    B = X.shape[0]
-    lam = settings.reg_lambda
+def _views(buffer: np.ndarray, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Views of the flat `buffer` shaped as `params`' arrays, laid out in
+    their order."""
+    views, start = {}, 0
+    for name, param in params.items():
+        views[name] = buffer[start : start + param.size].reshape(param.shape)
+        start += param.size
+    return views
 
-    if isinstance(model, SoftmaxRegModel):
-        Xa = np.hstack([X, np.ones((B, 1))])
-        probs = stable_softmax(Xa @ model.theta.T, axis=1)
-        onehot = np.zeros_like(probs)
-        onehot[np.arange(B), labels] = 1.0
-        grad = ((probs - onehot).T @ Xa) / B
-        penalty_grad = lam * model.theta
-        penalty_grad[:, -1] = 0.0
-        cost = _softmax_reg_loss(probs, labels, model.theta, lam)
-        return cost, {"theta": grad + penalty_grad}
 
-    cache = _forward(model, X, drop_mask, settings.dropout_rate)
+def _softmax_reg_backward(
+    Xa: np.ndarray, probs: np.ndarray, labels: np.ndarray, lam: float,
+    flat: np.ndarray, grad: np.ndarray,
+) -> None:
+    """Writes into `grad` the gradient of the batch's `softmax_reg_cost` at
+    theta = `flat` (raveled), from `_softmax_reg_probs`' outputs."""
+    B = labels.size
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(B), labels] = 1.0
+    np.divide((probs - onehot).T @ Xa, B, out=grad.reshape(probs.shape[1], -1))
+    decay = lam * flat
+    decay.reshape(probs.shape[1], -1)[:, -1] = 0.0  # the bias column is not decayed
+    grad += decay
+
+
+def _dkl_backward(
+    model: SarnModel, cache: dict, targets: np.ndarray, lam: float,
+    flat: np.ndarray, grad: np.ndarray, grads: dict[str, np.ndarray],
+) -> None:
+    """Writes into `grad` the gradient of the batch's `loss` from `_forward`'s
+    cache. `flat` holds the model's parameters and `grad` the gradient as one
+    vector each, in `head_params` order; `grads` holds `grad`'s views shaped
+    as the parameters."""
+    B = targets.shape[0]
     positions, n = model.positions, model.h_t.size
-    targets = _smoothed_rows(model.n_classes, settings.label_smoothing)[labels]
     probs = cache["probs"]
-    params = model.head_params()
-    total = _objective(targets, probs, params.values(), lam)
-
     g_probs = _dkl_grad_wrt_probs(targets, probs) / B
     row_dot = (g_probs * probs).sum(axis=1, keepdims=True)
     d_logits = probs * (g_probs - row_dot)
 
     hidden = cache["hidden"]
-    d_v_out = hidden.T @ d_logits
+    np.matmul(hidden.T, d_logits, out=grads["v_out"])
     d_hidden = d_logits @ model.v_out.T
     d_pre_hidden = d_hidden * (1.0 - hidden * hidden)
-    d_w_out = cache["z"].T @ d_pre_hidden
+    np.matmul(cache["z"].T, d_pre_hidden, out=grads["w_out"])
     d_z = d_pre_hidden @ model.w_out.T
     d_gated = d_z.reshape(B, positions, n)
 
@@ -435,20 +458,51 @@ def gradients(
     d_scores = weights * (d_weights - w_dot)
     d_scaled = d_scores * cache["scale"]
     d_A = d_scaled * model.s_vec
-    d_s_vec = (d_scaled * cache["A"]).sum(axis=0)
+    (d_scaled * cache["A"]).sum(axis=0, out=grads["s_vec"])
 
     d_G = d_A[:, :, None] * model.w_pw
-    d_w_pw = np.einsum("bpc,bp->c", cache["G"], d_A)
+    np.einsum("bpc,bp->c", cache["G"], d_A, out=grads["w_pw"])
     d_H += d_G[:, :, :n]
-    d_h_t = d_G[:, :, n:].sum(axis=(0, 1))
+    d_G[:, :, n:].sum(axis=(0, 1), out=grads["h_t"])
 
     d_K = cache["patches"].T @ d_H.reshape(-1, n)
-    d_P, d_Q, d_S = collapse_backward(model.P, model.Q, model.S, d_K[None, :, None, :])
+    grads["P"][...], grads["Q"][...], grads["S"][...] = collapse_backward(
+        model.P, model.Q, model.S, d_K[None, :, None, :]
+    )
+    grad += lam * flat
 
-    grads = dict(zip(DKL_PARAMS, (d_P, d_S, d_Q, d_w_pw, d_s_vec, d_h_t, d_w_out, d_v_out)))
-    for name, param in params.items():
-        grads[name] += lam * param
-    return total, grads
+
+def gradients(
+    model: Model,
+    X: np.ndarray,
+    labels: np.ndarray,
+    settings: SarnSettings,
+    drop_mask: np.ndarray | None = None,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Loss value and exact analytic gradients for every trainable parameter
+    of `model`, with the L2 weight, label smoothing and dropout rate of
+    `settings`. A provided drop_mask is honored as-is, so finite difference
+    checks can fix the dropout pattern (or omit it entirely). The gradients
+    are views of one vector, computed by the backward that `train` runs."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size == 0:
+        raise ValueError("empty batch")
+    lam = settings.reg_lambda
+    params = model.head_params()
+    flat = np.concatenate([p.ravel() for p in params.values()])
+    grad = np.empty_like(flat)
+    grads = _views(grad, params)
+
+    if isinstance(model, SoftmaxRegModel):
+        Xa, probs = _softmax_reg_probs(X, model.theta)
+        _softmax_reg_backward(Xa, probs, labels, lam, flat, grad)
+        return _softmax_reg_loss(probs, labels, model.theta, lam), grads
+
+    cache = _forward(model, X, drop_mask, settings.dropout_rate)
+    targets = _smoothed_rows(model.n_classes, settings.label_smoothing)[labels]
+    _dkl_backward(model, cache, targets, lam, flat, grad, grads)
+    return _objective(targets, cache["probs"], params.values(), lam), grads
 
 
 def _evaluate(
@@ -479,6 +533,12 @@ def train(
     """Seeded mini-batch gradient descent on `settings`' schedule; no early
     stopping. `settings.loss_head` must name `model_init`'s head.
 
+    The parameters are views of one flat vector, and each step subtracts the
+    learning rate times the head's flat gradient from it. A step whose batch
+    loss is not finite raises NumericalError. For a `SarnModel` the loss is
+    checked for finiteness, not computed: once the forward pass has passed
+    its checks, only the L2 penalty can overflow.
+
     History rows are computed at the end of each epoch over the full train
     and validation sets in evaluation mode, so the final row matches what
     predict() reproduces. A `SarnModel` trains with dropout.
@@ -491,15 +551,17 @@ def train(
     X_val, y_val = val_data
     X_train = np.asarray(X_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.int64)
-    # the trained arrays are views of one buffer, so that a step updates them
-    # all in one operation, with the values of one update per array
+    # the trained arrays are views of one vector and so are their gradients,
+    # so that a step updates them all in one operation, with the values of
+    # one update per array
     init = model_init.head_params()
     flat = np.concatenate([p.ravel() for p in init.values()])
-    pieces = np.split(flat, np.cumsum([p.size for p in init.values()])[:-1])
-    model = replace(
-        model_init, **{name: v.reshape(p.shape) for (name, p), v in zip(init.items(), pieces)}
-    )
+    model = replace(model_init, **_views(flat, init))
+    grad = np.empty_like(flat)
+    grads = _views(grad, init)
     dkl_head = isinstance(model, SarnModel)
+    if dkl_head:
+        targets = _smoothed_rows(model.n_classes, settings.label_smoothing)[y_train]
     epochs = settings.epochs
     history = TrainHistory(
         train_loss=np.zeros(epochs),
@@ -510,6 +572,7 @@ def train(
     rng = np.random.default_rng(seed)
     n = y_train.size
     batch_size, rate, dropout = settings.batch_size, settings.learning_rate, settings.dropout_rate
+    lam = settings.reg_lambda
     # a diverging fit overflows before a check below names it; numpy's
     # warnings about it would only repeat the NumericalError
     with np.errstate(all="ignore"):
@@ -517,15 +580,30 @@ def train(
             order = rng.permutation(n)
             for batch_no, start in enumerate(range(0, n, batch_size)):
                 sel = order[start : start + batch_size]
-                drop = None
-                if dkl_head and dropout > 0.0:
-                    drop = rng.random((sel.size, model.mask_len)) < dropout
-                value, grads = gradients(model, X_train[sel], y_train[sel], settings, drop)
-                if not math.isfinite(value):
+                if dkl_head:
+                    drop = None
+                    if dropout > 0.0:
+                        drop = rng.random((sel.size, model.mask_len)) < dropout
+                    cache = _forward(model, X_train[sel], drop, dropout)
+                    _dkl_backward(model, cache, targets[sel], lam, flat, grad, grads)
+                    # _forward's checks leave the mean DKL finite, so the loss
+                    # is non-finite only if the penalty is; far below overflow,
+                    # the penalty summed in another order settles it
+                    penalty = 0.5 * lam * float(flat @ flat)
+                    finite = penalty < _PENALTY_MARGIN or math.isfinite(
+                        _objective(targets[sel], cache["probs"], model.head_params().values(), lam)
+                    )
+                else:
+                    # the data term alone can be NaN, so the cost is computed
+                    labels = y_train[sel]
+                    Xa, probs = _softmax_reg_probs(X_train[sel], model.theta)
+                    _softmax_reg_backward(Xa, probs, labels, lam, flat, grad)
+                    finite = math.isfinite(_softmax_reg_loss(probs, labels, model.theta, lam))
+                if not finite:
                     raise NumericalError(
                         f"non-finite loss at epoch {epoch}, batch {batch_no}"
                     )
-                flat -= rate * np.concatenate([grads[name].ravel() for name in init])
+                flat -= rate * grad
             history.train_loss[epoch], history.train_accuracy[epoch] = _evaluate(
                 model, X_train, y_train, settings
             )

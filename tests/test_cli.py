@@ -325,9 +325,18 @@ class TestFit:
 
 class TestNumericalAbort:
     @pytest.mark.parametrize(
-        "sarn", [{"learning_rate": 1e6}, {"reg_lambda": 1e300}], ids=["rate", "reg"]
+        "sarn, error",
+        [
+            ({"learning_rate": 1e6}, "non-finite attention weights"),
+            ({"reg_lambda": 1e300}, "non-finite values in convolution output"),
+            ({"loss_head": "softmax_reg", "learning_rate": 1e6},
+             "non-finite loss at epoch 38, batch 0"),
+            ({"loss_head": "softmax_reg", "reg_lambda": 1e300},
+             "non-finite loss at epoch 1, batch 0"),
+        ],
+        ids=["rate", "reg", "softmax_rate", "softmax_reg"],
     )
-    def test_diverging_sarn_prints_only_the_error_line(self, sarn, tmp_path, capsys):
+    def test_diverging_sarn_prints_only_the_error_line(self, sarn, error, tmp_path, capsys):
         # a separate process, so that numpy's RuntimeWarnings would reach the
         # stderr a user sees rather than pytest's warning capture
         data = str(tmp_path / "small.csv")
@@ -347,7 +356,7 @@ class TestNumericalAbort:
         )
         assert done.returncode == 4
         lines = done.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: stage 'sarn' failed: "), lines
+        assert lines == [f"error: stage 'sarn' failed: {error}"]
 
 
 class TestPredict:

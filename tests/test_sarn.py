@@ -458,9 +458,53 @@ class TestTrain:
             3, 3, nw.SarnSettings(kernel_size=2, channels=4, rank=2, hidden=8), seed=5
         )
         model.w_out[0, 0] = np.inf
-        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericalError, match=r"non-finite loss at epoch 0, batch 0"
+        ):
             nw.train((X, y), (X, y), model,
                      nw.SarnSettings(epochs=1, learning_rate=0.1, batch_size=16), seed=0)
+
+    def test_overflowing_penalty_of_finite_parameters_aborts(self):
+        # the forward pass stays finite (tanh saturates), but the squares of
+        # w_out overflow, so the first step's loss is infinite
+        settings = replace(tiny_settings(), epochs=1, batch_size=4)
+        model = nw.init_model(6, 3, settings, seed=7)
+        model.w_out[...] = 1e200
+        rng = np.random.default_rng(25)
+        X, y = rng.normal(size=(12, 6)), rng.integers(0, 3, size=12)
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericalError, match=r"non-finite loss at epoch 0, batch 0"
+        ):
+            nw.train((X, y), (X, y), model, settings, seed=0)
+
+    def test_large_finite_penalty_trains(self):
+        # 0.5 * 0.01 * 128 * (1e151)^2 = 6.4e301: finite, but close enough to
+        # overflow that each step's finiteness check takes its exact path
+        settings = replace(tiny_settings(), epochs=2, batch_size=4)
+        model = nw.init_model(6, 3, settings, seed=7)
+        model.w_out[...] = 1e151
+        rng = np.random.default_rng(25)
+        X, y = rng.normal(size=(12, 6)), rng.integers(0, 3, size=12)
+        _, history = nw.train((X, y), (X, y), model, settings, seed=0)
+        assert np.isfinite(history.train_loss).all()
+        assert history.train_loss.min() > 1e300
+
+    @pytest.mark.parametrize("head", [nw.DKL_HEAD, nw.SOFTMAX_REG])
+    def test_one_step_subtracts_the_public_gradients(self, head):
+        settings = replace(tiny_settings(head=head), epochs=1, learning_rate=0.3, batch_size=16)
+        model = nw.init_model(8, 3, settings, seed=7)
+        rng = np.random.default_rng(26)
+        if head == nw.SOFTMAX_REG:
+            model.theta = rng.normal(size=model.theta.shape)
+        X, y = rng.normal(size=(10, 8)), rng.integers(0, 3, size=10)
+        # one batch of every row, in the order of train's first permutation
+        order = np.random.default_rng(5).permutation(10)
+        _, grads = nw.gradients(model, X[order], y[order], settings)
+        trained, _ = nw.train((X, y), (X, y), model, settings, seed=5)
+        for name, param in model.head_params().items():
+            np.testing.assert_array_equal(
+                getattr(trained, name), param - settings.learning_rate * grads[name], name
+            )
 
 
 class TestPredict:
