@@ -115,6 +115,16 @@ def cmd_fit(args) -> int:
         raise ConfigError("no input data: pass --data or set 'data' in the config")
     if out_dir is None:
         raise ConfigError("no output directory: pass --out or set 'out' in the config")
+    # save_artifacts makes the directory only after every stage has run; a path
+    # it could not make is named now, without making it, so a rejected fit
+    # leaves no directory
+    ancestor = os.path.normpath(out_dir)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor) or os.curdir
+    if not os.path.isdir(ancestor):
+        raise NotADirectoryError(
+            f"output directory '{out_dir}' cannot be made: '{ancestor}' is not a directory"
+        )
     data = ds.load_csv(data_path, label_column=io.label_column)
     logger.info("loaded %d rows, %d features", data.n_samples, data.n_features)
     artifacts = pl.run(data, config)
@@ -142,27 +152,17 @@ def cmd_evaluate(args) -> int:
     _, io = _read_config(args)
     data = ds.load_csv(args.data, label_column=io.label_column)
     header, rows = ds.read_table(args.predictions)
-    if "predicted_label" not in header:
-        raise DataFormatError(f"{args.predictions}: missing 'predicted_label' column")
-    col = header.index("predicted_label")
-    predicted = []
-    for row_no, row in enumerate(rows, start=2):
-        try:
-            label = int(row[col])
-            if label < 0:
-                raise ValueError
-        except ValueError:
-            raise DataFormatError(
-                f"{args.predictions}: bad predicted_label at row {row_no}"
-            ) from None
-        predicted.append(label)
-    if len(predicted) != data.n_samples:
+    predicted = ds.float_columns(args.predictions, header, rows, ["predicted_label"])[:, 0]
+    # the data's classes and every class `predict` wrote a probability for
+    n_classes = max(data.n_classes, sum(name.startswith("p_class_") for name in header))
+    bad = np.flatnonzero(~np.isin(predicted, np.arange(n_classes)))
+    if bad.size:
+        raise DataFormatError(f"{args.predictions}: bad predicted_label at row {bad[0] + 2}")
+    if predicted.size != data.n_samples:
         raise DataFormatError(
-            f"prediction count {len(predicted)} does not match data rows {data.n_samples}"
+            f"prediction count {predicted.size} does not match data rows {data.n_samples}"
         )
-    predicted = np.asarray(predicted, dtype=np.int64)
-    n_classes = int(max(data.labels.max(), predicted.max())) + 1
-    report = mt.evaluate(data.labels, predicted, n_classes)
+    report = mt.evaluate(data.labels, predicted.astype(np.int64), n_classes)
     ds.write_json(args.out, mt.report_to_dict(report))
     if args.csv:
         mt.report_to_csv(report, args.csv)

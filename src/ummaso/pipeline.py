@@ -79,7 +79,11 @@ class PipelineArtifacts:
     history: nw.TrainHistory
     metrics_report: mt.MetricsReport
     timings: dict[str, float]
-    stages: list[str]
+
+    @property
+    def stages(self) -> list[str]:
+        """The stages that ran, in order: those `timings` times."""
+        return list(self.timings)
 
     @cached_property
     def knn_index(self):
@@ -108,7 +112,6 @@ def run(data: ds.Dataset, config: PipelineConfig) -> PipelineArtifacts:
     stage. Fully deterministic for a fixed (dataset, config)."""
     validate(config, data.n_features, data.class_counts())
     timings: dict[str, float] = {}
-    stages: list[str] = []
 
     @contextmanager
     def stage(name: str):
@@ -118,7 +121,6 @@ def run(data: ds.Dataset, config: PipelineConfig) -> PipelineArtifacts:
         except Exception as exc:
             raise StageError(name, exc) from exc
         timings[name] = time.perf_counter() - start
-        stages.append(name)
 
     with stage("split"):
         split = ds.SplitSpec(config.train_fraction, config.seed + SEED_SPLIT)
@@ -178,7 +180,6 @@ def run(data: ds.Dataset, config: PipelineConfig) -> PipelineArtifacts:
         history=history,
         metrics_report=report,
         timings=timings,
-        stages=stages,
     )
 
 
@@ -309,5 +310,4 @@ def load_artifacts(out_dir: str) -> PipelineArtifacts:
         history=load_history_csv(join("history.csv")),
         metrics_report=mt.report_from_dict(ds.read_json(join("metrics.json"))),
         timings={k: float(v) for k, v in manifest["timings"].items()},
-        stages=list(manifest["stages"]),
     )

@@ -18,11 +18,14 @@ a `SoftmaxRegModel`, and each holds its own head's fitted values only;
 `gradients` and `train` read the training hyper-parameters from
 `SarnSettings`, and `model.json` (format 4) stores no copy of them.
 
-Each head has one backward, which writes its gradient, weight decay included,
-into one flat vector laid out as the head's parameters (`head_params` order).
-`train` holds the parameters as views of one such vector and steps them with
-one update; `gradients` runs the same backward and returns views of its
-vector by name.
+Three private functions hold every per-head fork: `_probabilities` (the
+evaluation-mode forward), `_cost` (the full objective from those
+probabilities) and `_backward`, which writes the head's gradient, weight decay
+included, into one flat vector laid out as its parameters (`head_params`
+order) and returns the batch's probabilities. `gradients`, `train`,
+`_evaluate` and `predict` reach a head only through them. `train` holds the
+parameters as views of one such vector and steps them with one update;
+`gradients` runs the same backward and returns views of its vector by name.
 """
 
 from __future__ import annotations
@@ -76,54 +79,34 @@ def _smoothed_rows(n_classes: int, eps: float) -> np.ndarray:
     return table
 
 
-def _distributions(y, yp) -> tuple[np.ndarray, np.ndarray]:
-    y = np.asarray(y, dtype=np.float64)
-    yp = np.asarray(yp, dtype=np.float64)
-    if y.shape != yp.shape:
-        raise ValueError("distribution length mismatch")
-    return y, yp
-
-
-def _kl_rows(y: np.ndarray, yp: np.ndarray) -> np.ndarray:
-    """`kl` of two float arrays of one shape, unchecked."""
-    yp = np.maximum(yp, PROB_CLAMP)
-    terms = np.where(y > 0.0, y * np.log(np.maximum(y, _TINY) / yp), 0.0)
-    return terms.sum(axis=-1)
-
-
-def _dkl_rows(y: np.ndarray, yp: np.ndarray) -> np.ndarray:
-    """`dkl` of two float arrays of one shape, unchecked."""
-    return 0.5 * _kl_rows(y, yp) + 0.5 * _kl_rows(yp, y)
-
-
 def kl(y, yp) -> np.ndarray | float:
     """sum_i y_i log(y_i / yp_i) with yp clamped to >= 1e-12 and 0*log0 := 0.
 
     Accepts single distributions or batches (summed over the last axis).
     """
-    total = _kl_rows(*_distributions(y, yp))
+    y = np.asarray(y, dtype=np.float64)
+    yp = np.asarray(yp, dtype=np.float64)
+    if y.shape != yp.shape:
+        raise ValueError("distribution length mismatch")
+    yp = np.maximum(yp, PROB_CLAMP)
+    terms = np.where(y > 0.0, y * np.log(np.maximum(y, _TINY) / yp), 0.0)
+    total = terms.sum(axis=-1)
     return float(total) if total.ndim == 0 else total
 
 
 def dkl(y, yp) -> np.ndarray | float:
     """Symmetric divergence 0.5*KL(y||yp) + 0.5*KL(yp||y)."""
-    total = _dkl_rows(*_distributions(y, yp))
-    return float(total) if total.ndim == 0 else total
-
-
-def _objective(targets: np.ndarray, probs: np.ndarray, params, reg_lambda: float) -> float:
-    """`loss` of (batch, classes) float arrays of one shape, unchecked; the
-    training step and the history rows compute their loss values here."""
-    penalty = 0.5 * reg_lambda * sum(float((p * p).sum()) for p in params)
-    return float(_dkl_rows(targets, probs).mean()) + penalty
+    return 0.5 * kl(y, yp) + 0.5 * kl(yp, y)
 
 
 def loss(y_batch: np.ndarray, yp_batch: np.ndarray, params, reg_lambda: float) -> float:
     """Mean DKL over the batch plus (reg_lambda/2) * sum of squared parameters."""
-    y_batch, yp_batch = _distributions(np.atleast_2d(y_batch), np.atleast_2d(yp_batch))
+    y_batch = np.atleast_2d(np.asarray(y_batch, dtype=np.float64))
+    yp_batch = np.atleast_2d(np.asarray(yp_batch, dtype=np.float64))
     if y_batch.shape[0] == 0:
         raise ValueError("empty batch")
-    return _objective(y_batch, yp_batch, params, reg_lambda)
+    penalty = 0.5 * reg_lambda * sum(float((p * p).sum()) for p in params)
+    return float(dkl(y_batch, yp_batch).mean()) + penalty
 
 
 def softmax_reg_forward(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -411,29 +394,12 @@ def _views(buffer: np.ndarray, params: dict[str, np.ndarray]) -> dict[str, np.nd
     return views
 
 
-def _softmax_reg_backward(
-    Xa: np.ndarray, probs: np.ndarray, labels: np.ndarray, lam: float,
-    flat: np.ndarray, grad: np.ndarray,
-) -> None:
-    """Writes into `grad` the gradient of the batch's `softmax_reg_cost` at
-    theta = `flat` (raveled), from `_softmax_reg_probs`' outputs."""
-    B = labels.size
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(B), labels] = 1.0
-    np.divide((probs - onehot).T @ Xa, B, out=grad.reshape(probs.shape[1], -1))
-    decay = lam * flat
-    decay.reshape(probs.shape[1], -1)[:, -1] = 0.0  # the bias column is not decayed
-    grad += decay
-
-
 def _dkl_backward(
     model: SarnModel, cache: dict, targets: np.ndarray, lam: float,
     flat: np.ndarray, grad: np.ndarray, grads: dict[str, np.ndarray],
 ) -> None:
     """Writes into `grad` the gradient of the batch's `loss` from `_forward`'s
-    cache. `flat` holds the model's parameters and `grad` the gradient as one
-    vector each, in `head_params` order; `grads` holds `grad`'s views shaped
-    as the parameters."""
+    cache, as `_backward` describes."""
     B = targets.shape[0]
     positions, n = model.positions, model.h_t.size
     probs = cache["probs"]
@@ -472,6 +438,50 @@ def _dkl_backward(
     grad += lam * flat
 
 
+def _probabilities(model: Model, X: np.ndarray) -> np.ndarray:
+    """Class probabilities of a (batch, width) array in evaluation mode (no
+    dropout)."""
+    if isinstance(model, SoftmaxRegModel):
+        return softmax_reg_forward(X, model.theta)
+    return _forward(model, X)["probs"]
+
+
+def _cost(model: Model, probs: np.ndarray, labels: np.ndarray, settings: SarnSettings) -> float:
+    """The head's full objective of `labels` from their class probabilities:
+    `loss` of the smoothed labels, or `softmax_reg_cost`."""
+    lam = settings.reg_lambda
+    if isinstance(model, SoftmaxRegModel):
+        return _softmax_reg_loss(probs, labels, model.theta, lam)
+    targets = _smoothed_rows(model.n_classes, settings.label_smoothing)[labels]
+    return loss(targets, probs, model.head_params().values(), lam)
+
+
+def _backward(
+    model: Model, X: np.ndarray, labels: np.ndarray, settings: SarnSettings,
+    drop_mask: np.ndarray | None, flat: np.ndarray, grad: np.ndarray,
+    grads: dict[str, np.ndarray],
+) -> np.ndarray:
+    """Writes into `grad` the gradient of the batch's `_cost`, weight decay
+    included, and returns the batch's class probabilities (a `SarnModel`'s
+    with `drop_mask`'s dropout). `flat` holds the model's parameters and
+    `grad` the gradient as one vector each, in `head_params` order; `grads`
+    holds `grad`'s views shaped as the parameters."""
+    lam = settings.reg_lambda
+    if isinstance(model, SoftmaxRegModel):
+        Xa, probs = _softmax_reg_probs(X, model.theta)
+        onehot = np.zeros_like(probs)
+        onehot[np.arange(labels.size), labels] = 1.0
+        np.divide((probs - onehot).T @ Xa, labels.size, out=grads["theta"])
+        decay = lam * flat
+        decay.reshape(model.theta.shape)[:, -1] = 0.0  # the bias column is not decayed
+        grad += decay
+        return probs
+    cache = _forward(model, X, drop_mask, settings.dropout_rate)
+    targets = _smoothed_rows(model.n_classes, settings.label_smoothing)[labels]
+    _dkl_backward(model, cache, targets, lam, flat, grad, grads)
+    return cache["probs"]
+
+
 def gradients(
     model: Model,
     X: np.ndarray,
@@ -488,39 +498,21 @@ def gradients(
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise ValueError("empty batch")
-    lam = settings.reg_lambda
     params = model.head_params()
     flat = np.concatenate([p.ravel() for p in params.values()])
     grad = np.empty_like(flat)
     grads = _views(grad, params)
-
-    if isinstance(model, SoftmaxRegModel):
-        Xa, probs = _softmax_reg_probs(X, model.theta)
-        _softmax_reg_backward(Xa, probs, labels, lam, flat, grad)
-        return _softmax_reg_loss(probs, labels, model.theta, lam), grads
-
-    cache = _forward(model, X, drop_mask, settings.dropout_rate)
-    targets = _smoothed_rows(model.n_classes, settings.label_smoothing)[labels]
-    _dkl_backward(model, cache, targets, lam, flat, grad, grads)
-    return _objective(targets, cache["probs"], params.values(), lam), grads
+    probs = _backward(model, X, labels, settings, drop_mask, flat, grad, grads)
+    return _cost(model, probs, labels, settings), grads
 
 
 def _evaluate(
     model: Model, X: np.ndarray, labels: np.ndarray, settings: SarnSettings
 ) -> tuple[float, float]:
-    """Full-objective loss and accuracy of `model` in evaluation mode (no
-    dropout)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    lam = settings.reg_lambda
-    if isinstance(model, SoftmaxRegModel):
-        probs = np.atleast_2d(softmax_reg_forward(X, model.theta))
-        cost = _softmax_reg_loss(probs, labels, model.theta, lam)
-    else:
-        probs = _forward(model, X)["probs"]
-        targets = _smoothed_rows(model.n_classes, settings.label_smoothing)[labels]
-        cost = _objective(targets, probs, model.head_params().values(), lam)
+    """Full-objective loss and accuracy of `model` in evaluation mode."""
+    probs = _probabilities(model, X)
     accuracy = float((probs.argmax(axis=1) == labels).mean())
-    return cost, accuracy
+    return _cost(model, probs, labels, settings), accuracy
 
 
 def train(
@@ -551,6 +543,7 @@ def train(
     X_val, y_val = val_data
     X_train = np.asarray(X_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.int64)
+    y_val = np.asarray(y_val, dtype=np.int64)
     # the trained arrays are views of one vector and so are their gradients,
     # so that a step updates them all in one operation, with the values of
     # one update per array
@@ -560,8 +553,6 @@ def train(
     grad = np.empty_like(flat)
     grads = _views(grad, init)
     dkl_head = isinstance(model, SarnModel)
-    if dkl_head:
-        targets = _smoothed_rows(model.n_classes, settings.label_smoothing)[y_train]
     epochs = settings.epochs
     history = TrainHistory(
         train_loss=np.zeros(epochs),
@@ -580,25 +571,18 @@ def train(
             order = rng.permutation(n)
             for batch_no, start in enumerate(range(0, n, batch_size)):
                 sel = order[start : start + batch_size]
-                if dkl_head:
-                    drop = None
-                    if dropout > 0.0:
-                        drop = rng.random((sel.size, model.mask_len)) < dropout
-                    cache = _forward(model, X_train[sel], drop, dropout)
-                    _dkl_backward(model, cache, targets[sel], lam, flat, grad, grads)
-                    # _forward's checks leave the mean DKL finite, so the loss
-                    # is non-finite only if the penalty is; far below overflow,
-                    # the penalty summed in another order settles it
-                    penalty = 0.5 * lam * float(flat @ flat)
-                    finite = penalty < _PENALTY_MARGIN or math.isfinite(
-                        _objective(targets[sel], cache["probs"], model.head_params().values(), lam)
-                    )
-                else:
-                    # the data term alone can be NaN, so the cost is computed
-                    labels = y_train[sel]
-                    Xa, probs = _softmax_reg_probs(X_train[sel], model.theta)
-                    _softmax_reg_backward(Xa, probs, labels, lam, flat, grad)
-                    finite = math.isfinite(_softmax_reg_loss(probs, labels, model.theta, lam))
+                labels = y_train[sel]
+                drop = None
+                if dkl_head and dropout > 0.0:
+                    drop = rng.random((sel.size, model.mask_len)) < dropout
+                probs = _backward(model, X_train[sel], labels, settings, drop, flat, grad, grads)
+                # _forward's checks leave the mean DKL finite, so a SarnModel's
+                # loss is non-finite only if the penalty is; far below
+                # overflow, the penalty summed in another order settles it.
+                # softmax_reg's data term alone can be NaN, so its cost is computed
+                finite = (dkl_head and 0.5 * lam * float(flat @ flat) < _PENALTY_MARGIN) or (
+                    math.isfinite(_cost(model, probs, labels, settings))
+                )
                 if not finite:
                     raise NumericalError(
                         f"non-finite loss at epoch {epoch}, batch {batch_no}"
@@ -620,10 +604,7 @@ def predict(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"feature width {X.shape[1]} does not match model width {model.feature_width}"
         )
-    if isinstance(model, SoftmaxRegModel):
-        probs = np.atleast_2d(softmax_reg_forward(X, model.theta))
-    else:
-        probs = _forward(model, X)["probs"]
+    probs = _probabilities(model, X)
     return probs, np.argmax(probs, axis=1)
 
 

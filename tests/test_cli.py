@@ -313,6 +313,26 @@ class TestFit:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    @pytest.mark.parametrize("under", ["", "/sub"], ids=["at", "under"])
+    def test_output_path_at_or_under_a_file_exits_3_before_any_stage(
+        self, workspace, tmp_path, capsys, monkeypatch, source, under
+    ):
+        _, data_csv, _, _ = workspace
+        monkeypatch.setattr(pl, "run", lambda *a, **k: pytest.fail("a stage ran"))
+        blocker = tmp_path / "notadir"
+        blocker.write_text("x")
+        out = f"{blocker}{under}"
+        config = tmp_path / "out.json"
+        config.write_text(json.dumps({"out": out} if source == "config" else {}))
+        argv = ["fit", "--data", data_csv, "--config", str(config)]
+        code, stdout, err = run_cli(capsys, *argv, *(["--out", out] if source == "flag" else []))
+        assert code == 3 and stdout == ""
+        assert err == (
+            f"error: output directory '{out}' cannot be made: '{blocker}' is not a directory\n"
+        )
+        assert blocker.read_text() == "x"
+
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,fertility\n1,zzz,0\n")
@@ -568,6 +588,47 @@ class TestEvaluate:
         )
         assert code == 2
         assert f"{preds}: bad predicted_label at row 3" in err
+
+    @pytest.mark.parametrize("label", ["3", "6000", "1.5"])
+    def test_label_outside_the_scored_classes_exits_2(self, workspace, tmp_path, capsys, label):
+        # the data holds classes 0-2, and the file has no p_class_* column that
+        # adds more, so a label of 3 or above names no class the scores cover
+        _, data_csv, _, _ = workspace
+        labels = [str(int(v)) for v in ds.load_csv(data_csv).labels]
+        labels[4] = label
+        preds = tmp_path / "preds.csv"
+        preds.write_text(
+            "row_index,predicted_label\n" + "".join(f"{r},{v}\n" for r, v in enumerate(labels))
+        )
+        out = tmp_path / "m.json"
+        code, stdout, err = run_cli(
+            capsys, "evaluate", "--predictions", str(preds), "--data", data_csv,
+            "--out", str(out),
+        )
+        assert code == 2 and stdout == ""
+        assert err == f"error: {preds}: bad predicted_label at row 6\n"
+        assert not out.exists()
+
+    def test_probability_columns_add_scored_classes(self, workspace, tmp_path, capsys):
+        # a model's class the data lacks: predict writes its p_class_3 column
+        _, data_csv, _, _ = workspace
+        labels = [int(v) for v in ds.load_csv(data_csv).labels]
+        labels[0] = 3
+        probs = ",".join(["0.25"] * 4)
+        preds = tmp_path / "preds.csv"
+        preds.write_text(
+            "row_index,p_class_0,p_class_1,p_class_2,p_class_3,predicted_label\n"
+            + "".join(f"{r},{probs},{v}\n" for r, v in enumerate(labels))
+        )
+        out = tmp_path / "m.json"
+        code, _, err = run_cli(
+            capsys, "evaluate", "--predictions", str(preds), "--data", data_csv,
+            "--out", str(out),
+        )
+        assert code == 0, err
+        doc = json.loads(out.read_text())
+        assert len(doc["confusion"]) == 4
+        assert doc["empty_recall_classes"] == [3]
 
     def test_label_column_comes_from_the_config(self, tmp_path, capsys):
         config = tmp_path / "klass.json"

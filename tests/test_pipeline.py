@@ -384,7 +384,7 @@ class TestArtifactsIO:
         assert [f.name for f in fields(pl.PipelineArtifacts)] == [
             "config", "feature_names", "class_names", "standardization", "train_labels",
             "graph", "embedding", "lasso_path", "ranking", "selected", "model",
-            "history", "metrics_report", "timings", "stages",
+            "history", "metrics_report", "timings",
         ]
 
     def test_metrics_json_deterministic_bytes(self, default_run, tmp_path):

@@ -506,6 +506,27 @@ class TestTrain:
                 getattr(trained, name), param - settings.learning_rate * grads[name], name
             )
 
+    @pytest.mark.parametrize("head", [nw.DKL_HEAD, nw.SOFTMAX_REG])
+    def test_public_losses_are_the_training_objective(self, head):
+        settings = replace(tiny_settings(head=head), epochs=3, learning_rate=0.3, batch_size=4)
+        model = nw.init_model(8, 3, settings, seed=7)
+        rng = np.random.default_rng(27)
+        if head == nw.SOFTMAX_REG:
+            model.theta = rng.normal(size=model.theta.shape)
+        X, y = rng.normal(size=(10, 8)), rng.integers(0, 3, size=10)
+        X_val, y_val = rng.normal(size=(6, 8)), rng.integers(0, 3, size=6)
+        lam = settings.reg_lambda
+
+        def public_loss(m, X, y):
+            if head == nw.SOFTMAX_REG:
+                return nw.softmax_reg_cost(X, y, m.theta, lam)
+            targets = nw.smooth_labels(y, m.n_classes, settings.label_smoothing)
+            return nw.loss(targets, nw.predict(m, X)[0], m.head_params().values(), lam)
+
+        assert nw.gradients(model, X, y, settings)[0] == public_loss(model, X, y)
+        trained, history = nw.train((X, y), (X_val, y_val), model, settings, seed=5)
+        assert history.val_loss[-1] == public_loss(trained, X_val, y_val)
+
 
 class TestPredict:
     def test_rows_normalize_and_duplicates_agree(self):
