@@ -60,6 +60,26 @@ def non_negative_int(text: str) -> int:
     return int(text)
 
 
+def _check_output(out: str, directory: bool = False) -> None:
+    """Raise OSError if `out` could not be written, before any input is read:
+    a directory output (made after its stages run) needs a directory as its
+    nearest existing ancestor, a file output a directory as its parent.
+    Nothing is made here, so a rejected command leaves nothing behind."""
+    if directory:
+        ancestor = os.path.normpath(out)
+        while not os.path.exists(ancestor):
+            ancestor = os.path.dirname(ancestor) or os.curdir
+        if not os.path.isdir(ancestor):
+            raise NotADirectoryError(
+                f"output directory '{out}' cannot be made: '{ancestor}' is not a directory"
+            )
+        return
+    parent = os.path.dirname(out) or os.curdir
+    if not os.path.isdir(parent):
+        reason = "is not a directory" if os.path.exists(parent) else "does not exist"
+        raise OSError(f"output file '{out}' cannot be written: '{parent}' {reason}")
+
+
 def _read_config(args) -> tuple[PipelineConfig, IoSettings]:
     """The --config document (empty without one) parsed strictly, with the
     --seed and --label-column flags, when given, overriding its master seed
@@ -71,6 +91,7 @@ def _read_config(args) -> tuple[PipelineConfig, IoSettings]:
 
 
 def cmd_generate(args) -> int:
+    _check_output(args.out)
     _, io = _read_config(args)
     try:
         per_class = [int(v) for v in args.per_class.split(",") if v != ""]
@@ -115,16 +136,7 @@ def cmd_fit(args) -> int:
         raise ConfigError("no input data: pass --data or set 'data' in the config")
     if out_dir is None:
         raise ConfigError("no output directory: pass --out or set 'out' in the config")
-    # save_artifacts makes the directory only after every stage has run; a path
-    # it could not make is named now, without making it, so a rejected fit
-    # leaves no directory
-    ancestor = os.path.normpath(out_dir)
-    while not os.path.exists(ancestor):
-        ancestor = os.path.dirname(ancestor) or os.curdir
-    if not os.path.isdir(ancestor):
-        raise NotADirectoryError(
-            f"output directory '{out_dir}' cannot be made: '{ancestor}' is not a directory"
-        )
+    _check_output(out_dir, directory=True)
     data = ds.load_csv(data_path, label_column=io.label_column)
     logger.info("loaded %d rows, %d features", data.n_samples, data.n_features)
     artifacts = pl.run(data, config)
@@ -134,6 +146,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_output(args.out)
     artifacts = pl.load_artifacts(args.artifacts)
     header, rows = ds.read_table(args.data)  # extra columns are ignored
     X = ds.float_columns(args.data, header, rows, artifacts.feature_names)
@@ -149,6 +162,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_output(args.out)
+    if args.csv:
+        _check_output(args.csv)
     _, io = _read_config(args)
     data = ds.load_csv(args.data, label_column=io.label_column)
     header, rows = ds.read_table(args.predictions)
@@ -163,7 +179,7 @@ def cmd_evaluate(args) -> int:
             f"prediction count {predicted.size} does not match data rows {data.n_samples}"
         )
     report = mt.evaluate(data.labels, predicted.astype(np.int64), n_classes)
-    ds.write_json(args.out, mt.report_to_dict(report))
+    ds.write_json(args.out, ds.record_to_json(report))
     if args.csv:
         mt.report_to_csv(report, args.csv)
     print(_metrics_line(report))
@@ -171,6 +187,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    _check_output(args.out)
     config, io = _read_config(args)
     data = ds.load_csv(args.data, label_column=io.label_column)
     check_umap(config.umap, data.n_samples)  # the graph holds every row
@@ -182,6 +199,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_select(args) -> int:
+    _check_output(args.out, directory=True)
     config, io = _read_config(args)
     data = ds.load_csv(args.data, label_column=io.label_column)
     check_lasso(config.lasso.selection, data.n_features)

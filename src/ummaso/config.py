@@ -7,10 +7,11 @@ JSON key, its annotation the accepted type and its default the value of an
 omitted key. `pipeline_config_from_dict` walks them to parse a document
 strictly (unknown keys, type errors and non-finite numbers name the full
 key path; the range errors each class's `__post_init__` raises name their
-section, as in `sarn: rank must lie in ...`); `config_to_dict` is its
-inverse and writes the manifest's config echo. `validate` adds the checks
-that need the data; `check_umap` and `check_lasso`, two of them, also guard
-the single-stage commands `reduce` and `select`.
+section, as in `sarn: rank must lie in ...`); its inverse, which writes the
+manifest's config echo, is the record codec `dataset.record_to_json`.
+`validate` adds the checks that need the data; `check_umap` and
+`check_lasso`, two of them, also guard the single-stage commands `reduce`
+and `select`.
 """
 
 from __future__ import annotations
@@ -116,15 +117,6 @@ def _parse(cls, doc, path: str):
         return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
-
-
-def config_to_dict(config) -> dict:
-    """The JSON form of a settings dataclass, every key present."""
-    doc = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        doc[f.name] = config_to_dict(value) if is_dataclass(value) else value
-    return doc
 
 
 def pipeline_config_from_dict(doc: dict) -> PipelineConfig:

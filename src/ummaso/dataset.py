@@ -1,6 +1,7 @@
 """Tabular dataset handling: the CSV table dialect shared by every table the
 package reads or writes, the one reader and the one writer of JSON object
-files (configs and artifacts), CSV ingest, standardization, splitting,
+files (configs and artifacts) with the one codec between a record (a
+dataclass) and its JSON object, CSV ingest, standardization, splitting,
 rebalancing, and synthetic generation of imbalanced class blobs for
 desk-scale experiments.
 
@@ -12,7 +13,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -214,6 +216,30 @@ def write_json(path: str, doc: dict) -> None:
     indent 1."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
+
+
+def record_to_json(record) -> dict:
+    """The JSON form of a record (a dataclass): each field under its name, a
+    nested record as an object and an array as nested lists."""
+    doc = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if is_dataclass(value):
+            value = record_to_json(value)
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        doc[f.name] = value
+    return doc
+
+
+def record_from_json(cls, doc: dict):
+    """The flat record `cls` from its JSON form: a field annotated np.ndarray
+    goes through np.asarray (JSON ints, bools and floats come back as int64,
+    bool and float64), any other is taken as read. Keys that are not fields
+    are ignored; a missing one raises as indexing `doc` does."""
+    hints = typing.get_type_hints(cls)
+    values = {f.name: doc[f.name] for f in fields(cls)}
+    return cls(**{k: np.asarray(v) if hints[k] is np.ndarray else v for k, v in values.items()})
 
 
 def load_csv(path: str, label_column: str = "fertility") -> Dataset:

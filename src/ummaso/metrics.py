@@ -1,5 +1,7 @@
-"""Classification metrics: confusion matrix, accuracy, macro precision/recall
-and Cohen's kappa, with explicit flags for degenerate denominators."""
+"""Classification metrics: the confusion matrix (a plain (C, C) counts
+array), accuracy, macro precision/recall and Cohen's kappa, with explicit
+flags for degenerate denominators. metrics.json is a MetricsReport through
+`dataset.record_to_json` and `record_from_json`."""
 
 from __future__ import annotations
 
@@ -11,21 +13,6 @@ from .dataset import write_table
 
 
 @dataclass(frozen=True)
-class ConfusionMatrix:
-    """counts[t][p] = number of samples with true class t predicted as p."""
-
-    counts: np.ndarray
-
-    @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass(frozen=True)
 class MetricsReport:
     accuracy: float
     precision_macro: float
@@ -33,13 +20,14 @@ class MetricsReport:
     kappa: float
     precision_per_class: np.ndarray
     recall_per_class: np.ndarray
-    confusion: ConfusionMatrix
+    confusion: np.ndarray  # confusion[t][p]: samples of true class t predicted as p
     empty_precision_classes: list[int]  # classes never predicted (precision set to 0)
     empty_recall_classes: list[int]  # classes never observed (recall set to 0)
     kappa_degenerate: bool  # chance agreement was 1, denominator vanished
 
 
-def confusion(true_labels, pred_labels, n_classes: int) -> ConfusionMatrix:
+def confusion(true_labels, pred_labels, n_classes: int) -> np.ndarray:
+    """The int64 (n_classes, n_classes) counts that MetricsReport.confusion holds."""
     true_labels = np.asarray(true_labels, dtype=np.int64)
     pred_labels = np.asarray(pred_labels, dtype=np.int64)
     if true_labels.shape != pred_labels.shape:
@@ -52,18 +40,18 @@ def confusion(true_labels, pred_labels, n_classes: int) -> ConfusionMatrix:
         raise ValueError(f"label value exceeds class count {n_classes}")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (true_labels, pred_labels), 1)
-    return ConfusionMatrix(counts=counts)
+    return counts
 
 
-def report(cm: ConfusionMatrix) -> MetricsReport:
-    """Metrics from a confusion matrix.
+def report(cm: np.ndarray) -> MetricsReport:
+    """Metrics from a confusion matrix's (C, C) counts.
 
     Per-class precision/recall with an empty column/row are set to 0 and
     flagged rather than NaN; macro values are unweighted class means. Kappa is
     (p_o - p_e)/(1 - p_e) with p_e from the row/column marginals; when p_e = 1
     the value is 1 for a perfect predictor, else 0, flagged either way.
     """
-    counts = cm.counts.astype(np.float64)
+    counts = cm.astype(np.float64)
     total = counts.sum()
     if total == 0:
         raise ValueError("empty confusion matrix")
@@ -98,36 +86,6 @@ def report(cm: ConfusionMatrix) -> MetricsReport:
 
 def evaluate(true_labels, pred_labels, n_classes: int) -> MetricsReport:
     return report(confusion(true_labels, pred_labels, n_classes))
-
-
-def report_to_dict(rep: MetricsReport) -> dict:
-    return {
-        "accuracy": rep.accuracy,
-        "precision_macro": rep.precision_macro,
-        "recall_macro": rep.recall_macro,
-        "kappa": rep.kappa,
-        "precision_per_class": rep.precision_per_class.tolist(),
-        "recall_per_class": rep.recall_per_class.tolist(),
-        "confusion": rep.confusion.counts.tolist(),
-        "empty_precision_classes": rep.empty_precision_classes,
-        "empty_recall_classes": rep.empty_recall_classes,
-        "kappa_degenerate": rep.kappa_degenerate,
-    }
-
-
-def report_from_dict(doc: dict) -> MetricsReport:
-    return MetricsReport(
-        accuracy=doc["accuracy"],
-        precision_macro=doc["precision_macro"],
-        recall_macro=doc["recall_macro"],
-        kappa=doc["kappa"],
-        precision_per_class=np.asarray(doc["precision_per_class"], dtype=np.float64),
-        recall_per_class=np.asarray(doc["recall_per_class"], dtype=np.float64),
-        confusion=ConfusionMatrix(counts=np.asarray(doc["confusion"], dtype=np.int64)),
-        empty_precision_classes=list(doc["empty_precision_classes"]),
-        empty_recall_classes=list(doc["empty_recall_classes"]),
-        kappa_degenerate=doc["kappa_degenerate"],
-    )
 
 
 def report_to_csv(rep: MetricsReport, path: str) -> None:

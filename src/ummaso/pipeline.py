@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -22,12 +22,11 @@ from . import dataset as ds
 from . import lasso as ls
 from . import metrics as mt
 from . import umap as um
-from .config import (  # the settings classes and echo are re-exported here
+from .config import (  # the settings classes are re-exported here
     LassoSettings,
     PipelineConfig,
     SarnSettings,
     check_sarn,
-    config_to_dict,
     pipeline_config_from_dict,
     validate,
 )
@@ -56,7 +55,6 @@ ARTIFACT_FILES = (
 )
 
 HISTORY_COLUMNS = ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"]
-_GRAPH_FIELDS = fields(um.NeighborGraph)
 
 
 @dataclass
@@ -201,25 +199,16 @@ def transform_new(artifacts: PipelineArtifacts, X_new: np.ndarray) -> np.ndarray
 
 def save_artifacts(artifacts: PipelineArtifacts, out_dir: str) -> None:
     """Write the artifacts directory (one file per stage output + manifest).
-    graph.json holds each NeighborGraph field under its name."""
+    standardization.json, graph.json, metrics.json and the manifest's config
+    echo are their records through ds.record_to_json."""
     os.makedirs(out_dir, exist_ok=True)
     join = lambda name: os.path.join(out_dir, name)
 
-    std = artifacts.standardization
-    ds.write_json(
-        join("standardization.json"),
-        {
-            "means": std.means.tolist(),
-            "std_devs": std.std_devs.tolist(),
-            "feature_names": artifacts.feature_names,
-        },
-    )
+    std = ds.record_to_json(artifacts.standardization)
+    ds.write_json(join("standardization.json"), {**std, "feature_names": artifacts.feature_names})
     if artifacts.graph is not None:
         # built in the call, so its lists are freed before the next file
-        ds.write_json(
-            join("graph.json"),
-            {f.name: getattr(artifacts.graph, f.name).tolist() for f in _GRAPH_FIELDS},
-        )
+        ds.write_json(join("graph.json"), ds.record_to_json(artifacts.graph))
     if artifacts.embedding is not None:
         um.embedding_to_csv(
             artifacts.embedding.coordinates, artifacts.train_labels, join("embedding.csv")
@@ -238,7 +227,7 @@ def save_artifacts(artifacts: PipelineArtifacts, out_dir: str) -> None:
     h = artifacts.history
     columns = (h.train_loss, h.train_accuracy, h.val_loss, h.val_accuracy)
     ds.write_table(join("history.csv"), HISTORY_COLUMNS, zip(range(len(h)), *columns))
-    ds.write_json(join("metrics.json"), mt.report_to_dict(artifacts.metrics_report))
+    ds.write_json(join("metrics.json"), ds.record_to_json(artifacts.metrics_report))
     emb = artifacts.embedding
     ds.write_json(
         join("manifest.json"),
@@ -246,7 +235,7 @@ def save_artifacts(artifacts: PipelineArtifacts, out_dir: str) -> None:
             "manifest_version": MANIFEST_VERSION,
             "stages": artifacts.stages,
             "timings": artifacts.timings,
-            "config": config_to_dict(artifacts.config),
+            "config": ds.record_to_json(artifacts.config),
             "feature_names": artifacts.feature_names,
             "class_names": artifacts.class_names,
             "embedding_final_loss": emb.final_loss if emb is not None else None,
@@ -276,15 +265,10 @@ def load_artifacts(out_dir: str) -> PipelineArtifacts:
             f"{MANIFEST_VERSION}; refit to write a current artifacts directory"
         )
     config = pipeline_config_from_dict(manifest["config"])
-    std_doc = ds.read_json(join("standardization.json"))
-    std = ds.StandardizationParams(
-        means=np.asarray(std_doc["means"]), std_devs=np.asarray(std_doc["std_devs"])
-    )
+    std = ds.record_from_json(ds.StandardizationParams, ds.read_json(join("standardization.json")))
     graph = embedding = train_labels = None
     if config.uses_umap:
-        g = ds.read_json(join("graph.json"))
-        # JSON ints, bools and floats parse back to int64, bool and float64
-        graph = um.NeighborGraph(**{f.name: np.asarray(g[f.name]) for f in _GRAPH_FIELDS})
+        graph = ds.record_from_json(um.NeighborGraph, ds.read_json(join("graph.json")))
         coords, train_labels = load_embedding_csv(join("embedding.csv"))
         embedding = um.Embedding(
             coordinates=coords,
@@ -308,6 +292,6 @@ def load_artifacts(out_dir: str) -> PipelineArtifacts:
         selected=selected,
         model=nw.load_model(join("model.json")),
         history=load_history_csv(join("history.csv")),
-        metrics_report=mt.report_from_dict(ds.read_json(join("metrics.json"))),
+        metrics_report=ds.record_from_json(mt.MetricsReport, ds.read_json(join("metrics.json"))),
         timings={k: float(v) for k, v in manifest["timings"].items()},
     )

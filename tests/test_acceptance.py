@@ -264,7 +264,7 @@ def test_criterion_08_softmax_regression():
 
 def test_criterion_09_metrics():
     with Budget(2.0) as budget:
-        rep = mt.report(mt.ConfusionMatrix(np.array([[2, 1], [1, 2]])))
+        rep = mt.report(np.array([[2, 1], [1, 2]]))
         assert abs(rep.kappa - 1.0 / 3.0) < 1e-12
 
         rng = np.random.default_rng(109)

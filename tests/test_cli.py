@@ -11,7 +11,9 @@ import pytest
 
 from ummaso import cli
 from ummaso import dataset as ds
+from ummaso import lasso as ls
 from ummaso import pipeline as pl
+from ummaso import umap as um
 from ummaso.errors import DataFormatError
 from ummaso.sarn import network as nw
 
@@ -705,6 +707,35 @@ class TestReduceSelect:
         assert (sel / "ranking.json").read_bytes() == expected
         expected = (DATA_DIR / "lasso_select_selection.json").read_bytes()
         assert (fit / "selection.json").read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "command, module, first_stage, out, error",
+        [
+            ("reduce", um, "embed", "notadir/emb.csv",
+             "output file '{out}' cannot be written: '{parent}' is not a directory"),
+            ("reduce", um, "embed", "missing_dir/emb.csv",
+             "output file '{out}' cannot be written: '{parent}' does not exist"),
+            ("select", ls, "fit_selection", "notadir/sel",
+             "output directory '{out}' cannot be made: '{parent}' is not a directory"),
+            ("predict", pl, "load_artifacts", "notadir/p.csv",
+             "output file '{out}' cannot be written: '{parent}' is not a directory"),
+        ],
+        ids=["reduce", "reduce_missing_dir", "select", "predict"],
+    )
+    def test_unwritable_output_exits_3_before_the_first_stage(
+        self, workspace, tmp_path, capsys, monkeypatch, command, module, first_stage, out, error
+    ):
+        _, data_csv, artifacts, _ = workspace
+        monkeypatch.setattr(module, first_stage, lambda *a, **k: pytest.fail("a stage ran"))
+        (tmp_path / "notadir").write_text("x")
+        out = str(tmp_path / out)
+        argv = [command, "--data", data_csv, "--out", out]
+        if command == "predict":
+            argv += ["--artifacts", artifacts]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 3 and stdout == ""
+        assert err == "error: " + error.format(out=out, parent=os.path.dirname(out)) + "\n"
+        assert os.listdir(tmp_path) == ["notadir"]
 
 
 class TestUsability:

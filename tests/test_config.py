@@ -10,10 +10,10 @@ from ummaso.config import (
     LassoSettings,
     PipelineConfig,
     SarnSettings,
-    config_to_dict,
     pipeline_config_from_dict,
     validate,
 )
+from ummaso.dataset import record_to_json
 from ummaso.errors import ConfigError
 from ummaso.lasso import SelectionStrategy
 from ummaso.umap import UmapConfig
@@ -106,7 +106,7 @@ def test_parse(doc, expect):
         return
     parsed = pipeline_config_from_dict(doc)
     assert parsed == expect
-    assert pipeline_config_from_dict(config_to_dict(parsed)) == parsed
+    assert pipeline_config_from_dict(record_to_json(parsed)) == parsed
     assert type(parsed.umap.a) is float
 
 
@@ -115,7 +115,7 @@ def test_readme_default_config_block_matches_the_schema():
     section = readme.split("## Configuration", 1)[1]
     block = section.split("```json\n", 1)[1].split("```", 1)[0]
     doc = json.loads(re.sub(r"//[^\n]*", "", block))
-    assert doc == {**config_to_dict(PipelineConfig()), **asdict(IoSettings())}
+    assert doc == {**record_to_json(PipelineConfig()), **asdict(IoSettings())}
 
 
 # `generate --per-class 40,12,8` splits into 32 + 10 + 6 = 48 training rows at

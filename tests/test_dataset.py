@@ -1,7 +1,13 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from ummaso import dataset as ds
+from ummaso import metrics as mt
+from ummaso import umap as um
+from ummaso.config import PipelineConfig, pipeline_config_from_dict
 from ummaso.errors import DataFormatError
 
 
@@ -323,3 +329,118 @@ class TestSynthGenerate:
                 noise_std=1.0,
                 seed=0,
             )
+
+
+# standardization.json and metrics.json of the records TestRecordCodec
+# builds, as written before the records shared one codec
+STANDARDIZATION_JSON = """\
+{
+ "feature_names": [
+  "a",
+  "b"
+ ],
+ "means": [
+  2.3333333333333335,
+  10.0
+ ],
+ "std_devs": [
+  1.247219128924647,
+  1.0
+ ]
+}"""
+
+METRICS_JSON = """\
+{
+ "accuracy": 0.6666666666666666,
+ "confusion": [
+  [
+   2,
+   1,
+   0,
+   0
+  ],
+  [
+   0,
+   2,
+   0,
+   0
+  ],
+  [
+   1,
+   0,
+   0,
+   0
+  ],
+  [
+   0,
+   0,
+   0,
+   0
+  ]
+ ],
+ "empty_precision_classes": [
+  2,
+  3
+ ],
+ "empty_recall_classes": [
+  3
+ ],
+ "kappa": 0.42857142857142855,
+ "kappa_degenerate": false,
+ "precision_macro": 0.3333333333333333,
+ "precision_per_class": [
+  0.6666666666666666,
+  0.6666666666666666,
+  0.0,
+  0.0
+ ],
+ "recall_macro": 0.41666666666666663,
+ "recall_per_class": [
+  0.6666666666666666,
+  1.0,
+  0.0,
+  0.0
+ ]
+}"""
+
+
+class TestRecordCodec:
+    """record_to_json and record_from_json: the one JSON form of the
+    standardization, graph, metrics and config records."""
+
+    @staticmethod
+    def records():
+        rows = np.array([[1.0, 10.0], [2.0, 10.0], [4.0, 10.0]])
+        _, std = ds.standardize(ds.Dataset(rows, ["a", "b"], np.array([0, 1, 1]), ["c0", "c1"]))
+        points = np.random.default_rng(0).normal(size=(12, 3))
+        graph = um.build_graph(points, um.UmapConfig(k=3))
+        report = mt.evaluate([0, 0, 0, 1, 1, 2], [0, 0, 1, 1, 1, 0], 4)
+        return std, graph, report
+
+    def test_flat_records_come_back_field_by_field(self):
+        # int64 edges, bool sigma_converged and float64 arrays keep their dtypes
+        for record in self.records():
+            doc = json.loads(json.dumps({**ds.record_to_json(record), "not_a_field": 1}))
+            back = ds.record_from_json(type(record), doc)
+            for f in fields(record):
+                value, read = getattr(record, f.name), getattr(back, f.name)
+                assert type(read) is type(value), f.name
+                if isinstance(value, np.ndarray):
+                    assert read.dtype == value.dtype, f.name
+                    np.testing.assert_array_equal(read, value)
+                else:
+                    assert read == value, f.name
+
+    def test_nested_config_is_an_object_per_section(self):
+        doc = json.loads(json.dumps(ds.record_to_json(PipelineConfig())))
+        assert doc["umap"] == ds.record_to_json(um.UmapConfig())
+        assert pipeline_config_from_dict(doc) == PipelineConfig()
+
+    def test_written_text_is_the_stored_layout(self, tmp_path):
+        std, _, report = self.records()
+        path = str(tmp_path / "standardization.json")
+        ds.write_json(path, {**ds.record_to_json(std), "feature_names": ["a", "b"]})
+        assert open(path, encoding="utf-8").read() == STANDARDIZATION_JSON
+        path = str(tmp_path / "metrics.json")
+        ds.write_json(path, ds.record_to_json(report))
+        assert open(path, encoding="utf-8").read() == METRICS_JSON

@@ -407,7 +407,7 @@ class TestArtifactsIO:
 class TestConfigDict:
     def test_round_trip_defaults(self):
         config = pl.PipelineConfig()
-        assert pipeline_config_from_dict(pl.config_to_dict(config)) == config
+        assert pipeline_config_from_dict(ds.record_to_json(config)) == config
 
     def test_round_trip_custom(self):
         config = pl.PipelineConfig(
@@ -418,4 +418,4 @@ class TestConfigDict:
             lasso=pl.LassoSettings(grid_count=25, selection=SelectionStrategy("min_mse")),
             sarn=pl.SarnSettings(kernel_size=2, loss_head=nw.SOFTMAX_REG),
         )
-        assert pipeline_config_from_dict(pl.config_to_dict(config)) == config
+        assert pipeline_config_from_dict(ds.record_to_json(config)) == config

@@ -1,5 +1,4 @@
 import logging
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -520,8 +519,7 @@ def write_golden_embed(out_dir: Path) -> None:
     data = ds.synth_generate(synth, SOIL_FEATURE_NAMES, SOIL_CLASS_NAMES)
     graph, emb = um.embed(ds.standardize(data)[0].features, um.UmapConfig(k=5, epochs=5), 7)
     um.embedding_to_csv(emb.coordinates, data.labels, str(out_dir / "umap_embedding.csv"))
-    doc = {f.name: getattr(graph, f.name).tolist() for f in fields(um.NeighborGraph)}
-    ds.write_json(str(out_dir / "umap_graph.json"), doc)
+    ds.write_json(str(out_dir / "umap_graph.json"), ds.record_to_json(graph))
 
 
 class TestGoldenBytes:
