@@ -5,13 +5,14 @@ map convolved with a 1 x s kernel, giving a (positions x channels) hidden
 matrix. The kernel is collapsed from its factors (P, Q, S) and applied to the
 batch's sliding patches as one matrix product; its gradient flows back onto
 the factors through `collapse_backward`. A pointwise convolution over the
-hidden matrix concatenated with a learned (broadcast) target row scores each
-position; scores are scaled, masked beyond mask_len, optionally dropped out,
-then softmaxed and used to gate the hidden matrix elementwise. The gated
-matrix is flattened through a tanh layer and a linear layer into class
-probabilities, trained with the symmetric (double) KL divergence plus an L2
-penalty. A softmax-regression head with weight decay is available as a
-standalone alternative on the same features.
+hidden matrix concatenated with a learned target row scores each position;
+the target row adds the same scalar `h_t . w_pw[n:]` to every score, so no
+concatenated tensor is built or cached. Scores are scaled, masked beyond
+mask_len, optionally dropped out, then softmaxed and used to gate the hidden
+matrix elementwise. The gated matrix is flattened through a tanh layer and
+a linear layer into class probabilities, trained with the symmetric (double)
+KL divergence plus an L2 penalty. A softmax-regression head with weight decay
+is available as a standalone alternative on the same features.
 
 `init_model` builds the head `SarnSettings.loss_head` names, a `SarnModel` or
 a `SoftmaxRegModel`, and each holds its own head's fitted values only;
@@ -55,11 +56,12 @@ MODEL_FORMAT_VERSION = 4
 
 
 def stable_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax with max subtraction; -inf entries get exactly zero weight."""
-    z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=axis, keepdims=True)
-    ez = np.exp(shifted)
-    return ez / ez.sum(axis=axis, keepdims=True)
+    """Softmax with max subtraction; -inf entries get exactly zero weight. It
+    sums whole rows of a copy with `axis` first, and returns C-ordered values."""
+    ez = np.asarray(z, dtype=np.float64).swapaxes(0, axis).copy()
+    np.exp(ez - np.maximum.reduce(ez), out=ez)
+    ez /= np.add.reduce(ez)
+    return np.ascontiguousarray(ez.swapaxes(0, axis))
 
 
 def smooth_labels(labels: np.ndarray, n_classes: int, eps: float) -> np.ndarray:
@@ -340,10 +342,8 @@ def _forward(
     H = (patches @ kernel).reshape(B, positions, n)
     if not np.isfinite(H).all():
         raise NumericalError("non-finite values in convolution output")
-    G = np.empty((B, positions, 2 * n))
-    G[:, :, :n] = H
-    G[:, :, n:] = model.h_t
-    A = G @ model.w_pw
+    w_pw = model.w_pw
+    A = H.reshape(-1, n).dot(w_pw[:n]).reshape(B, positions) + model.h_t.dot(w_pw[n:])
     # the factor each score takes: 0 when masked or dropped
     if drop_mask is not None and dropout_rate > 0.0:
         scale = np.zeros((B, positions))
@@ -366,7 +366,6 @@ def _forward(
     return {
         "patches": patches,
         "H": H,
-        "G": G,
         "A": A,
         "scale": scale,
         "weights": weights,
@@ -426,10 +425,11 @@ def _dkl_backward(
     d_A = d_scaled * model.s_vec
     (d_scaled * cache["A"]).sum(axis=0, out=grads["s_vec"])
 
-    d_G = d_A[:, :, None] * model.w_pw
-    np.einsum("bpc,bp->c", cache["G"], d_A, out=grads["w_pw"])
-    d_H += d_G[:, :, :n]
-    d_G[:, :, n:].sum(axis=(0, 1), out=grads["h_t"])
+    w_pw, g_pw, d_target = model.w_pw, grads["w_pw"], d_A.sum()
+    np.matmul(d_A.ravel(), H.reshape(-1, n), out=g_pw[:n])
+    np.multiply(d_target, model.h_t, out=g_pw[n:])
+    np.multiply(d_target, w_pw[n:], out=grads["h_t"])
+    d_H += d_A[:, :, None] * w_pw[:n]
 
     d_K = cache["patches"].T @ d_H.reshape(-1, n)
     grads["P"][...], grads["Q"][...], grads["S"][...] = collapse_backward(

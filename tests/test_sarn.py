@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ummaso import dataset as ds
 from ummaso import pipeline as pl
@@ -40,7 +41,43 @@ def dkl_loss_of(model, X, y, settings):
     )
 
 
+def keepdims_softmax(z, axis):
+    """The softmax reduced over `axis` where it lies, as a reference."""
+    ez = np.exp(z - z.max(axis=axis, keepdims=True))
+    return ez / ez.sum(axis=axis, keepdims=True)
+
+
+@st.composite
+def softmax_cases(draw):
+    """(logits, axis): 1-D, 2-D along axis 0, 1 or -1, or 3-D along axis 1,
+    with -inf entries but a finite one in every slice along the axis."""
+    ndim, axis = draw(st.sampled_from([(1, -1), (2, 0), (2, 1), (2, -1), (3, 1)]))
+    shape = draw(st.tuples(*[st.integers(1, 12)] * ndim))
+    z = draw(hnp.arrays(np.float64, shape, elements=st.floats(-50, 50) | st.just(-np.inf)))
+    slices = np.moveaxis(z, axis, 0)
+    keep = draw(st.integers(0, shape[axis] - 1))
+    slices[keep, ...][np.isneginf(slices).all(axis=0)] = 0.0
+    return z, axis
+
+
 class TestStableSoftmax:
+    @given(softmax_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reduction_in_place(self, case):
+        """Summing whole rows adds each slice's terms in numpy's order for a
+        short axis, so up to 7 entries the bits are the reference's; from 8
+        on numpy sums a contiguous axis pairwise."""
+        z, axis = case
+        got, expect = nw.stable_softmax(z, axis), keepdims_softmax(z, axis)
+        assert got.shape == expect.shape and got.dtype == expect.dtype
+        # C-ordered as the reference is: a matrix product of it rounds by layout
+        assert got.flags.c_contiguous
+        if z.shape[axis] <= 7:
+            np.testing.assert_array_equal(got, expect)
+        else:
+            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(got[np.isneginf(z)], 0.0)
+
     def test_shift_invariance(self):
         rng = np.random.default_rng(0)
         z = rng.normal(size=(5, 4))
@@ -152,6 +189,16 @@ class TestForwardConsistency:
             np.testing.assert_array_equal(gated, cache["gated"][r])
             probs = output_head_oracle(gated, model.w_out, model.v_out)
             np.testing.assert_allclose(probs, cache["probs"][r], atol=1e-15)
+
+    @pytest.mark.parametrize("rows", [1, 32, 1000])
+    def test_scores_are_the_product_with_the_target_row_appended(self, rows):
+        model = tiny_model(seed=9, mask_len=4)
+        cache = nw._forward(model, np.random.default_rng(rows).normal(size=(rows, 8)))
+        H = cache["H"]
+        G = np.concatenate([H, np.broadcast_to(model.h_t, H.shape)], axis=2)
+        # relative to the size of the terms each score sums
+        error = np.abs(cache["A"] - G @ model.w_pw)
+        assert np.all(error <= 1e-14 * (np.abs(G) @ np.abs(model.w_pw)))
 
 
     @pytest.mark.parametrize(
@@ -310,6 +357,24 @@ class TestSoftmaxRegression:
             nw.softmax_reg_forward(np.zeros(3), np.zeros((2, 3)))
 
 
+def assert_central_differences(model, grads, loss_of, stride=lambda size: 1):
+    """Each entry of `grads` at the given stride matches the central
+    difference of `loss_of()` in the same entry of `model`'s array."""
+    h = 1e-5
+    for name, grad in grads.items():
+        flat = getattr(model, name).reshape(-1)
+        for idx in range(0, flat.size, stride(flat.size)):
+            orig = flat[idx]
+            flat[idx] = orig + h
+            up = loss_of()
+            flat[idx] = orig - h
+            down = loss_of()
+            flat[idx] = orig
+            fd = (up - down) / (2 * h)
+            ga = grad.reshape(-1)[idx]
+            assert abs(ga - fd) <= 1e-4 * max(1e-5, abs(ga), abs(fd)) + 1e-9, (name, idx)
+
+
 class TestGradients:
     def test_dkl_head_matches_finite_differences(self):
         model = tiny_model(seed=3)
@@ -318,20 +383,28 @@ class TestGradients:
         y = rng.integers(0, 3, size=4)
         settings = tiny_settings()
         _, grads = nw.gradients(model, X, y, settings)
-        h = 1e-5
-        for name, grad in grads.items():
-            arr = getattr(model, name)
-            flat = arr.reshape(-1)
-            for idx in range(0, flat.size, max(1, flat.size // 8)):
-                orig = flat[idx]
-                flat[idx] = orig + h
-                up = dkl_loss_of(model, X, y, settings)
-                flat[idx] = orig - h
-                down = dkl_loss_of(model, X, y, settings)
-                flat[idx] = orig
-                fd = (up - down) / (2 * h)
-                ga = grad.reshape(-1)[idx]
-                assert abs(ga - fd) <= 1e-4 * max(1e-5, abs(ga), abs(fd)) + 1e-9, name
+        assert_central_differences(
+            model, grads, lambda: dkl_loss_of(model, X, y, settings),
+            stride=lambda size: max(1, size // 8),
+        )
+
+    def test_dkl_head_matches_finite_differences_under_dropout(self):
+        settings = tiny_settings(dropout=0.4, mask_len=4)
+        model = nw.init_model(8, 3, settings, seed=5)
+        assert model.mask_len < model.positions
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(4, 8))
+        y = rng.integers(0, 3, size=4)
+        mask = rng.random((4, model.mask_len)) < settings.dropout_rate
+        assert mask.any() and not mask.all(axis=1).any()
+        _, grads = nw.gradients(model, X, y, settings, mask)
+        targets = nw.smooth_labels(y, model.n_classes, settings.label_smoothing)
+
+        def loss_with_dropout():
+            probs = nw._forward(model, X, mask, settings.dropout_rate)["probs"]
+            return nw.loss(targets, probs, model.head_params().values(), settings.reg_lambda)
+
+        assert_central_differences(model, grads, loss_with_dropout)
 
     def test_masked_scale_positions_have_zero_gradient(self):
         model = tiny_model(mask_len=2)
@@ -634,7 +707,11 @@ class TestGoldenBytes:
     """The stored files lock the arithmetic of SARN training: a change to
     the order of its floating-point operations changes their bytes. They
     were written with numpy 2.4 on OpenBLAS 0.3.31; another BLAS build may
-    round its matrix products differently."""
+    round its matrix products differently. A deliberate change rewrites a
+    head's pair from the repository root with
+
+        PYTHONPATH=src:tests python -c "import test_sarn as t; t.write_golden_fit('dkl_head', t.DATA_DIR)"
+    """
 
     @pytest.mark.parametrize("head", [nw.DKL_HEAD, nw.SOFTMAX_REG])
     def test_training_writes_the_stored_bytes(self, head, tmp_path):
