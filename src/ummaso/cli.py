@@ -209,7 +209,8 @@ def cmd_select(args) -> int:
     )
     os.makedirs(args.out, exist_ok=True)
     ls.path_to_csv(path, os.path.join(args.out, "lasso_path.csv"))
-    ds.write_json(os.path.join(args.out, "ranking.json"), ls.ranking_to_dict(ranking, selected))
+    doc = {**ds.record_to_json(ranking), "selected_indices": selected}
+    ds.write_json(os.path.join(args.out, "ranking.json"), doc)
     print("ranking=" + ",".join(str(j) for j in ranking.order))
     return 0
 

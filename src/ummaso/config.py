@@ -154,7 +154,7 @@ def validate(config: PipelineConfig, n_features: int, class_counts) -> None:
         width = (selection.k if top_k else 0) + (
             config.umap.out_dim if config.uses_umap else 0
         )
-        check_sarn(config, n_classes, width)
+        check_sarn(config, width)
 
 
 def check_umap(umap: UmapConfig, rows: int) -> None:
@@ -177,11 +177,11 @@ def check_lasso(selection: SelectionStrategy, n_features: int) -> None:
         )
 
 
-def check_sarn(config: PipelineConfig, n_classes: int, width: int) -> None:
+def check_sarn(config: PipelineConfig, width: int) -> None:
     """Raise ConfigError naming the keys if the sarn head cannot run at input
-    width `width`: `softmax_reg` needs one feature, and `dkl_head` the model
-    it would build. The checks that need no width already ran when
-    `SarnSettings` was constructed."""
+    width `width`: `softmax_reg` needs one feature, and `dkl_head` a kernel
+    and a mask length that fit in it, as `SarnModel` checks them. The checks
+    that need no width already ran when `SarnSettings` was constructed."""
     sarn = config.sarn
     dkl_head = sarn.loss_head == nw.DKL_HEAD
     if width < (sarn.kernel_size if dkl_head else 1):
@@ -199,8 +199,6 @@ def check_sarn(config: PipelineConfig, n_classes: int, width: int) -> None:
         raise ConfigError(
             f"{needs} the classifier input width {width} set by {' + '.join(sources)}"
         )
-    if dkl_head:
-        try:
-            nw.init_model(width, n_classes, sarn, 0)
-        except ValueError as exc:
-            raise ConfigError(f"sarn: {exc}") from exc
+    positions = width - sarn.kernel_size + 1
+    if dkl_head and sarn.mask_len is not None and sarn.mask_len > positions:
+        raise ConfigError(f"sarn: mask_len must lie in [1, {positions}], got {sarn.mask_len}")

@@ -45,7 +45,8 @@ class LassoPath:
 
 @dataclass(frozen=True)
 class FeatureRanking:
-    """Features ordered by descending entry lambda; never-active ones last."""
+    """Features ordered by descending entry lambda; never-active ones last,
+    with an entry lambda of None."""
 
     order: list[int]
     entry_lambdas: list[float | None]
@@ -266,27 +267,6 @@ def fit_selection(
     grid = lambda_grid(X, response - response.mean(), settings.grid_count)
     path = fit_path(X, response, grid)
     return path, rank_features(path, names), select(path, settings.selection)
-
-
-def ranking_to_dict(ranking: FeatureRanking, selected: list[int]) -> dict:
-    """JSON form of a ranking and its selection; a never-active feature's
-    entry lambda is written as "never"."""
-    return {
-        "order": ranking.order,
-        "entry_lambdas": [v if v is not None else "never" for v in ranking.entry_lambdas],
-        "names": ranking.names,
-        "selected_indices": selected,
-    }
-
-
-def ranking_from_dict(doc: dict) -> tuple[FeatureRanking, list[int]]:
-    """Inverse of `ranking_to_dict`."""
-    ranking = FeatureRanking(
-        order=[int(v) for v in doc["order"]],
-        entry_lambdas=[None if v == "never" else float(v) for v in doc["entry_lambdas"]],
-        names=list(doc["names"]),
-    )
-    return ranking, [int(v) for v in doc["selected_indices"]]
 
 
 def path_to_csv(path: LassoPath, file_path: str) -> None:

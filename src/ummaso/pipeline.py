@@ -40,7 +40,7 @@ SEED_OVERSAMPLE = 211
 SEED_UMAP = 307
 SEED_SARN = 401
 
-MANIFEST_VERSION = 6
+MANIFEST_VERSION = 7
 
 ARTIFACT_FILES = (
     "standardization.json",
@@ -149,7 +149,7 @@ def run(data: ds.Dataset, config: PipelineConfig) -> PipelineArtifacts:
         mode = config.feature_mode
         train_coords = embedding.coordinates if embedding is not None else None
         train_feats = _assemble(train_std.features, train_coords, selected, mode)
-        check_sarn(config, data.n_classes, train_feats.shape[1])
+        check_sarn(config, train_feats.shape[1])
         test_feats = _assemble(test_features, test_coords, selected, mode)
 
     with stage("sarn"):
@@ -199,8 +199,8 @@ def transform_new(artifacts: PipelineArtifacts, X_new: np.ndarray) -> np.ndarray
 
 def save_artifacts(artifacts: PipelineArtifacts, out_dir: str) -> None:
     """Write the artifacts directory (one file per stage output + manifest).
-    standardization.json, graph.json, metrics.json and the manifest's config
-    echo are their records through ds.record_to_json."""
+    Every JSON file but the manifest, and the manifest's config echo, is its
+    record through ds.record_to_json."""
     os.makedirs(out_dir, exist_ok=True)
     join = lambda name: os.path.join(out_dir, name)
 
@@ -219,11 +219,12 @@ def save_artifacts(artifacts: PipelineArtifacts, out_dir: str) -> None:
         ds.write_json(
             join("selection.json"),
             {
-                **ls.ranking_to_dict(artifacts.ranking, artifacts.selected),
+                **ds.record_to_json(artifacts.ranking),
+                "selected_indices": artifacts.selected,
                 "selected_names": [artifacts.feature_names[j] for j in artifacts.selected],
             },
         )
-    nw.save_model(artifacts.model, join("model.json"))
+    ds.write_json(join("model.json"), ds.record_to_json(artifacts.model))
     h = artifacts.history
     columns = (h.train_loss, h.train_accuracy, h.val_loss, h.val_accuracy)
     ds.write_table(join("history.csv"), HISTORY_COLUMNS, zip(range(len(h)), *columns))
@@ -278,7 +279,9 @@ def load_artifacts(out_dir: str) -> PipelineArtifacts:
     path = ranking = selected = None
     if config.uses_lasso:
         path = ls.load_path_csv(join("lasso_path.csv"))
-        ranking, selected = ls.ranking_from_dict(ds.read_json(join("selection.json")))
+        doc = ds.read_json(join("selection.json"))
+        ranking, selected = ds.record_from_json(ls.FeatureRanking, doc), doc["selected_indices"]
+    model_cls = nw.SarnModel if config.sarn.loss_head == nw.DKL_HEAD else nw.SoftmaxRegModel
     return PipelineArtifacts(
         config=config,
         feature_names=list(manifest["feature_names"]),
@@ -290,7 +293,7 @@ def load_artifacts(out_dir: str) -> PipelineArtifacts:
         lasso_path=path,
         ranking=ranking,
         selected=selected,
-        model=nw.load_model(join("model.json")),
+        model=ds.record_from_json(model_cls, ds.read_json(join("model.json"))),
         history=load_history_csv(join("history.csv")),
         metrics_report=ds.record_from_json(mt.MetricsReport, ds.read_json(join("metrics.json"))),
         timings={k: float(v) for k, v in manifest["timings"].items()},

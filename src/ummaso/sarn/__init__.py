@@ -22,12 +22,8 @@ from .network import (
     gradients,
     init_model,
     kl,
-    load_model,
     loss,
-    model_from_dict,
-    model_to_dict,
     predict,
-    save_model,
     smooth_labels,
     softmax_reg_cost,
     softmax_reg_forward,
@@ -46,12 +42,8 @@ __all__ = [
     "gradients",
     "init_model",
     "kl",
-    "load_model",
     "loss",
-    "model_from_dict",
-    "model_to_dict",
     "predict",
-    "save_model",
     "smooth_labels",
     "softmax_reg_cost",
     "softmax_reg_forward",

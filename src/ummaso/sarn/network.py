@@ -17,7 +17,7 @@ is available as a standalone alternative on the same features.
 `init_model` builds the head `SarnSettings.loss_head` names, a `SarnModel` or
 a `SoftmaxRegModel`, and each holds its own head's fitted values only;
 `gradients` and `train` read the training hyper-parameters from
-`SarnSettings`, and `model.json` (format 4) stores no copy of them.
+`SarnSettings`, and `model.json` stores no copy of them.
 
 Three private functions hold every per-head fork: `_probabilities` (the
 evaluation-mode forward), `_cost` (the full objective from those
@@ -38,7 +38,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..dataset import read_json, write_json
 from ..errors import NumericalError
 from .conv import FactorizedKernel, collapse, collapse_backward
 
@@ -51,8 +50,6 @@ _PENALTY_MARGIN = 1e300
 DKL_HEAD = "dkl_head"
 SOFTMAX_REG = "softmax_reg"
 DKL_PARAMS = ("P", "S", "Q", "w_pw", "s_vec", "h_t", "w_out", "v_out")
-
-MODEL_FORMAT_VERSION = 4
 
 
 def stable_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -606,42 +603,3 @@ def predict(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         )
     probs = _probabilities(model, X)
     return probs, np.argmax(probs, axis=1)
-
-
-def model_to_dict(model: Model) -> dict:
-    """Versioned JSON-ready document: the head's arrays as shape metadata plus
-    flat row-major data, and a `SarnModel`'s mask length."""
-    doc = {"format_version": MODEL_FORMAT_VERSION, "active_head": model.head}
-    if isinstance(model, SarnModel):
-        doc["mask_len"] = model.mask_len
-    doc["params"] = {
-        name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-        for name, arr in model.head_params().items()
-    }
-    return doc
-
-
-def model_from_dict(doc: dict) -> Model:
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported model format version {version}; refit to write format "
-            f"{MODEL_FORMAT_VERSION}"
-        )
-    params = doc["params"]
-
-    def array(name: str) -> np.ndarray:
-        return np.asarray(params[name]["data"], dtype=np.float64).reshape(params[name]["shape"])
-
-    if doc["active_head"] == SOFTMAX_REG:
-        return SoftmaxRegModel(theta=array("theta"))
-    arrays = {name: array(name) for name in DKL_PARAMS}
-    return SarnModel(mask_len=doc["mask_len"], **arrays)
-
-
-def save_model(model: Model, path: str) -> None:
-    write_json(path, model_to_dict(model))
-
-
-def load_model(path: str) -> Model:
-    return model_from_dict(read_json(path))

@@ -30,7 +30,7 @@ REQUIRED_KEYS = {
     "standardization.json": "means",
     "graph.json": "sigma",
     "selection.json": "order",
-    "model.json": "params",
+    "model.json": "w_out",
     "metrics.json": "kappa",
     "manifest.json": "config",
 }
@@ -188,7 +188,7 @@ class TestFit:
         for name in names:
             if name != "manifest.json":
                 assert (first / name).read_bytes() == (again / name).read_bytes(), name
-        assert list(json.loads((first / "model.json").read_text())["params"]) == ["theta"]
+        assert list(json.loads((first / "model.json").read_text())) == ["theta"]
         code, _, err = run_cli(
             capsys, "predict", "--artifacts", str(first), "--data", data_csv,
             "--out", str(tmp_path / "p.csv"),
@@ -502,7 +502,7 @@ class TestPredict:
         manifest["manifest_version"] = 4
         manifest["config"]["umap"].update(eps=0.001, sigma_tol=1e-5, sigma_max_iters=64)
         (old / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(DataFormatError, match=r"manifest_version 4 is not 6; refit"):
+        with pytest.raises(DataFormatError, match=r"manifest_version 4 is not 7; refit"):
             pl.load_artifacts(str(old))
         code, stdout, err = run_cli(
             capsys, "predict", "--artifacts", str(old), "--data", data_csv,
@@ -670,24 +670,20 @@ class TestReduceSelect:
             header = fh.readline().strip().split(",")
         assert header == ["dim_0", "dim_1", "label"]
 
-    def test_select_ranking_puts_never_last(self, workspace, tmp_path, capsys):
-        _, data_csv, _, _ = workspace
-        out = str(tmp_path / "sel")
-        code, stdout, _ = run_cli(capsys, "select", "--data", data_csv, "--out", out)
-        assert code == 0
-        doc = json.loads(open(out + "/ranking.json").read())
-        entries = doc["entry_lambdas"]
-        order = doc["order"]
-        seen_never = False
-        for j in order:
-            if entries[j] == "never":
-                seen_never = True
-            else:
-                assert not seen_never  # active features precede "never" ones
+    def test_select_ranking_puts_never_last(self, tmp_path, capsys):
+        # the constant "flat" column never enters the path
+        out = tmp_path / "sel"
+        data = str(DATA_DIR / "lasso_select.csv")
+        code, _, err = run_cli(capsys, "select", "--data", data, "--out", str(out))
+        assert code == 0, err
+        doc = json.loads((out / "ranking.json").read_text())
+        never = [j for j, v in enumerate(doc["entry_lambdas"]) if v is None]
+        assert never == [doc["names"].index("flat")]
+        assert doc["order"][-1] == never[0]
 
     def test_ranking_files_match_stored_bytes(self, tmp_path, capsys):
-        # the stored files were written before select and fit shared one
-        # ranking writer; "flat" is constant, so its entry lambda is "never"
+        # select and fit write one ranking record; "flat" is constant, so its
+        # entry lambda is null
         data = DATA_DIR / "lasso_select.csv"
         selection = {"strategy": "top_k", "k": 3}
         select_cfg = tmp_path / "select.json"

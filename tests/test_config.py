@@ -16,6 +16,7 @@ from ummaso.config import (
 from ummaso.dataset import record_to_json
 from ummaso.errors import ConfigError
 from ummaso.lasso import SelectionStrategy
+from ummaso.sarn import network as nw
 from ummaso.umap import UmapConfig
 
 # A manifest `config` echo as written before the schema was derived from the
@@ -151,3 +152,14 @@ def test_validate_holds_umap_to_the_training_row_count(doc, error):
     with pytest.raises(ConfigError) as info:
         validate(config, 5, [40, 12, 8])
     assert str(info.value) == error
+
+
+def test_validate_checks_the_dkl_head_without_building_a_model(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate built a model")
+
+    monkeypatch.setattr(nw, "init_model", refuse)
+    # classifier width = top_k 5 + out_dim 2 = 7: kernel_size 3 leaves 5 positions
+    validate(pipeline_config_from_dict({"sarn": {"mask_len": 5}}), 5, [40, 12, 8])
+    with pytest.raises(ConfigError, match=r"^sarn: mask_len must lie in \[1, 5\], got 6$"):
+        validate(pipeline_config_from_dict({"sarn": {"mask_len": 6}}), 5, [40, 12, 8])

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from ummaso import dataset as ds
+from ummaso import lasso as ls
 from ummaso import metrics as mt
 from ummaso import umap as um
 from ummaso.config import PipelineConfig, pipeline_config_from_dict
 from ummaso.errors import DataFormatError
+from ummaso.sarn import network as nw
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -406,7 +408,7 @@ METRICS_JSON = """\
 
 class TestRecordCodec:
     """record_to_json and record_from_json: the one JSON form of the
-    standardization, graph, metrics and config records."""
+    standardization, graph, metrics, model, ranking and config records."""
 
     @staticmethod
     def records():
@@ -415,10 +417,31 @@ class TestRecordCodec:
         points = np.random.default_rng(0).normal(size=(12, 3))
         graph = um.build_graph(points, um.UmapConfig(k=3))
         report = mt.evaluate([0, 0, 0, 1, 1, 2], [0, 0, 1, 1, 1, 0], 4)
-        return std, graph, report
+        X, y = np.random.default_rng(1).normal(size=(30, 4)), np.arange(30) % 3
+        models = []
+        for head in (nw.DKL_HEAD, nw.SOFTMAX_REG):
+            settings = nw.SarnSettings(
+                kernel_size=2, channels=4, rank=2, hidden=5, mask_len=2, epochs=2,
+                batch_size=8, loss_head=head,
+            )
+            model = nw.init_model(4, 3, settings, seed=2)
+            models.append(nw.train((X, y), (X, y), model, settings, seed=3)[0])
+        # "flat" never enters the path, so its entry lambda is None
+        path = ls.LassoPath(
+            lambdas=np.array([1.0, 0.5]),
+            coef_matrix=np.array([[0.0, 0.2, 0.0], [0.3, 0.4, 0.0]]),
+            intercepts=np.zeros(2),
+            df=np.array([1, 2]),
+            mse=np.array([1.0, 0.5]),
+            converged=np.ones(2, dtype=bool),
+        )
+        ranking = ls.rank_features(path, ["a", "b", "flat"])
+        assert ranking.entry_lambdas == [0.5, 1.0, None]
+        return std, graph, report, *models, ranking
 
     def test_flat_records_come_back_field_by_field(self):
-        # int64 edges, bool sigma_converged and float64 arrays keep their dtypes
+        # int64 edges, bool sigma_converged and float64 arrays keep their
+        # dtypes; the ranking's None entry lambda comes back as None
         for record in self.records():
             doc = json.loads(json.dumps({**ds.record_to_json(record), "not_a_field": 1}))
             back = ds.record_from_json(type(record), doc)
@@ -437,7 +460,7 @@ class TestRecordCodec:
         assert pipeline_config_from_dict(doc) == PipelineConfig()
 
     def test_written_text_is_the_stored_layout(self, tmp_path):
-        std, _, report = self.records()
+        std, _, report, *_ = self.records()
         path = str(tmp_path / "standardization.json")
         ds.write_json(path, {**ds.record_to_json(std), "feature_names": ["a", "b"]})
         assert open(path, encoding="utf-8").read() == STANDARDIZATION_JSON
