@@ -236,10 +236,14 @@ def record_from_json(cls, doc: dict):
     """The flat record `cls` from its JSON form: a field annotated np.ndarray
     goes through np.asarray (JSON ints, bools and floats come back as int64,
     bool and float64), any other is taken as read. Keys that are not fields
-    are ignored; a missing one raises as indexing `doc` does."""
+    are ignored; a missing one raises as indexing `doc` does. A value the
+    record rejects raises DataFormatError naming the file `doc` was read from."""
     hints = typing.get_type_hints(cls)
     values = {f.name: doc[f.name] for f in fields(cls)}
-    return cls(**{k: np.asarray(v) if hints[k] is np.ndarray else v for k, v in values.items()})
+    try:
+        return cls(**{k: np.asarray(v) if hints[k] is np.ndarray else v for k, v in values.items()})
+    except ValueError as exc:
+        raise DataFormatError(f"{getattr(doc, 'path', cls.__name__)}: {exc}") from exc
 
 
 def load_csv(path: str, label_column: str = "fertility") -> Dataset:

@@ -276,16 +276,30 @@ def load_artifacts(out_dir: str) -> PipelineArtifacts:
             final_loss=manifest["embedding_final_loss"],
             epoch_losses=np.asarray(manifest["embedding_epoch_losses"], dtype=np.float64),
         )
+    feature_names, class_names = list(manifest["feature_names"]), list(manifest["class_names"])
     path = ranking = selected = None
     if config.uses_lasso:
         path = ls.load_path_csv(join("lasso_path.csv"))
         doc = ds.read_json(join("selection.json"))
         ranking, selected = ds.record_from_json(ls.FeatureRanking, doc), doc["selected_indices"]
+        if len(set(selected)) != len(selected) or not all(
+            0 <= j < len(feature_names) for j in selected
+        ):
+            raise DataFormatError(
+                f"{doc.path}: selected_indices must be distinct and lie in "
+                f"[0, {len(feature_names)}), got {selected}"
+            )
     model_cls = nw.SarnModel if config.sarn.loss_head == nw.DKL_HEAD else nw.SoftmaxRegModel
+    model = ds.record_from_json(model_cls, ds.read_json(join("model.json")))
+    if len(class_names) != model.n_classes:
+        raise DataFormatError(
+            f"{manifest.path}: {len(class_names)} class names for a "
+            f"{model.n_classes}-class model"
+        )
     return PipelineArtifacts(
         config=config,
-        feature_names=list(manifest["feature_names"]),
-        class_names=list(manifest["class_names"]),
+        feature_names=feature_names,
+        class_names=class_names,
         standardization=std,
         train_labels=train_labels,
         graph=graph,
@@ -293,8 +307,9 @@ def load_artifacts(out_dir: str) -> PipelineArtifacts:
         lasso_path=path,
         ranking=ranking,
         selected=selected,
-        model=ds.record_from_json(model_cls, ds.read_json(join("model.json"))),
+        model=model,
         history=load_history_csv(join("history.csv")),
         metrics_report=ds.record_from_json(mt.MetricsReport, ds.read_json(join("metrics.json"))),
-        timings={k: float(v) for k, v in manifest["timings"].items()},
+        # write_json sorts the timings' keys; the stages list keeps the run order
+        timings={name: float(manifest["timings"][name]) for name in manifest["stages"]},
     )

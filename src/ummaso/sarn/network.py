@@ -230,6 +230,24 @@ class SarnModel:
     mask_len: int
 
     def __post_init__(self):
+        arrays = self.head_params()
+        for name, ndim in zip(DKL_PARAMS, (2, 3, 4, 1, 1, 1, 2, 2)):
+            if arrays[name].ndim != ndim:
+                raise ValueError(f"{name} must be {ndim}-d, got shape {arrays[name].shape}")
+        # the shapes chain: P mixes the one input channel, Q holds the rank
+        # bases of a 1 x s kernel, S maps them onto the n channels of h_t
+        n, rank, hidden = self.h_t.size, self.S.shape[1], self.w_out.shape[1]
+        expected = {
+            "P": (1, 1),
+            "S": (1, rank, n),
+            "Q": (1, 1, self.Q.shape[2], rank),
+            "w_pw": (2 * n,),
+            "w_out": (self.positions * n, hidden),
+            "v_out": (hidden, self.n_classes),
+        }
+        for name, shape in expected.items():
+            if arrays[name].shape != shape:
+                raise ValueError(f"{name} has shape {arrays[name].shape}, expected {shape}")
         if not 1 <= self.mask_len <= self.positions:
             raise ValueError(f"mask_len must lie in [1, {self.positions}], got {self.mask_len}")
 
@@ -256,6 +274,10 @@ class SoftmaxRegModel:
 
     head: ClassVar[str] = SOFTMAX_REG
     theta: np.ndarray
+
+    def __post_init__(self):
+        if self.theta.ndim != 2:
+            raise ValueError(f"theta must be 2-d, got shape {self.theta.shape}")
 
     @property
     def n_classes(self) -> int:

@@ -106,6 +106,10 @@ class NeighborGraph:
     edge_j: np.ndarray
     edge_v: np.ndarray
 
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.sigma) & (self.sigma > 0.0)):
+            raise ValueError("every sigma must be positive and finite")
+
     @property
     def n_points(self) -> int:
         return self.points.shape[0]

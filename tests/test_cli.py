@@ -16,6 +16,7 @@ from ummaso import pipeline as pl
 from ummaso import umap as um
 from ummaso.errors import DataFormatError
 from ummaso.sarn import network as nw
+from test_reruns import assert_same_artifacts
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -128,11 +129,7 @@ class TestFit:
             "fit", "--data", data_csv, "--out", out2, "--seed", "11",
             "--config", config_path,
         ]) == 0
-        import os
-
-        a = open(os.path.join(artifacts, "metrics.json"), "rb").read()
-        b = open(os.path.join(out2, "metrics.json"), "rb").read()
-        assert a == b
+        assert_same_artifacts(artifacts, out2)
 
     def test_paths_may_come_from_the_config_file(self, workspace, tmp_path, capsys):
         _, data_csv, _, _ = workspace
@@ -183,11 +180,7 @@ class TestFit:
             )
             assert code == 0, err
             assert "accuracy=" in stdout
-        names = sorted(p.name for p in first.iterdir())
-        assert names == sorted(p.name for p in again.iterdir())
-        for name in names:
-            if name != "manifest.json":
-                assert (first / name).read_bytes() == (again / name).read_bytes(), name
+        assert_same_artifacts(first, again)
         assert list(json.loads((first / "model.json").read_text())) == ["theta"]
         code, _, err = run_cli(
             capsys, "predict", "--artifacts", str(first), "--data", data_csv,
@@ -290,6 +283,19 @@ class TestFit:
         assert calls == []
         assert not out.exists()
 
+    def test_non_finite_config_number_exits_2_before_any_stage(self, workspace, tmp_path, capsys):
+        # json reads NaN, which passes every range check
+        _, data_csv, _, _ = workspace
+        config = tmp_path / "nan.json"
+        config.write_text('{"umap": {"a": NaN}}')
+        out = tmp_path / "o"
+        code, stdout, err = run_cli(
+            capsys, "fit", "--data", data_csv, "--out", str(out), "--config", str(config)
+        )
+        assert code == 2 and stdout == ""
+        assert err == "error: 'umap.a' must be a finite number\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["{", "[]"])
     def test_config_that_is_not_a_json_object_exits_2_naming_it(self, tmp_path, capsys, text):
         config = tmp_path / "bad.json"
@@ -345,25 +351,35 @@ class TestFit:
         assert "row 2" in err
 
 
+# (`generate` flags, `fit` flags) of a small noisy dataset, and of the README
+# quickstart's data fitted at the default master seed
+SMALL_FIT = ["--per-class", "40,12,8", "--noise-std", "25", "--seed", "3"], ["--seed", "1"]
+QUICKSTART_FIT = ["--per-class", "150,40,20", "--seed", "7"], []
+
+
 class TestNumericalAbort:
     @pytest.mark.parametrize(
-        "sarn, error",
+        "sarn, error, flags",
         [
-            ({"learning_rate": 1e6}, "non-finite attention weights"),
-            ({"reg_lambda": 1e300}, "non-finite values in convolution output"),
+            ({"learning_rate": 1e6}, "non-finite attention weights", SMALL_FIT),
+            ({"reg_lambda": 1e300}, "non-finite values in convolution output", SMALL_FIT),
             ({"loss_head": "softmax_reg", "learning_rate": 1e6},
-             "non-finite loss at epoch 38, batch 0"),
+             "non-finite loss at epoch 38, batch 0", SMALL_FIT),
             ({"loss_head": "softmax_reg", "reg_lambda": 1e300},
-             "non-finite loss at epoch 1, batch 0"),
+             "non-finite loss at epoch 1, batch 0", SMALL_FIT),
+            ({"loss_head": "softmax_reg", "learning_rate": 1e6},
+             "non-finite loss at epoch 12, batch 3", QUICKSTART_FIT),
         ],
-        ids=["rate", "reg", "softmax_rate", "softmax_reg"],
+        ids=["rate", "reg", "softmax_rate", "softmax_reg", "softmax_rate_quickstart"],
     )
-    def test_diverging_sarn_prints_only_the_error_line(self, sarn, error, tmp_path, capsys):
+    def test_diverging_sarn_prints_only_the_error_line(
+        self, sarn, error, flags, tmp_path, capsys
+    ):
         # a separate process, so that numpy's RuntimeWarnings would reach the
         # stderr a user sees rather than pytest's warning capture
-        data = str(tmp_path / "small.csv")
-        assert cli.main(["generate", "--per-class", "40,12,8", "--noise-std", "25",
-                         "--seed", "3", "--out", data]) == 0
+        generate_flags, fit_flags = flags
+        data = str(tmp_path / "data.csv")
+        assert cli.main(["generate", *generate_flags, "--out", data]) == 0
         capsys.readouterr()
         config = tmp_path / "diverge.json"
         config.write_text(json.dumps({"sarn": sarn}))
@@ -372,7 +388,7 @@ class TestNumericalAbort:
         env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
         done = subprocess.run(
             [sys.executable, "-c", "import sys; from ummaso import cli; sys.exit(cli.main())",
-             "fit", "--data", data, "--out", str(tmp_path / "out"), "--seed", "1",
+             "fit", "--data", data, "--out", str(tmp_path / "out"), *fit_flags,
              "--config", str(config)],
             capture_output=True, text=True, env=env, timeout=120,
         )
@@ -491,6 +507,37 @@ class TestPredict:
         )
         assert code == 2 and stdout == ""
         assert err == f"error: {target}: missing key '{key}'\n"
+
+    @pytest.mark.parametrize(
+        "name, key, damage",
+        [
+            ("selection.json", "selected_indices", lambda v: [-1] + v[1:]),
+            ("selection.json", "selected_indices", lambda v: v[:1] * 2 + v[2:]),
+            ("graph.json", "sigma", lambda v: [-1.0] * len(v)),
+            ("manifest.json", "class_names", lambda v: v[:2]),
+            ("model.json", "w_out", lambda v: np.transpose(v).tolist()),
+            ("model.json", "v_out", lambda v: v[:3]),
+        ],
+        ids=["index_-1", "index_twice", "sigma_-1", "two_class_names", "w_out_transposed",
+             "v_out_3_rows"],
+    )
+    def test_damaged_artifact_exits_2_naming_the_file(
+        self, workspace, tmp_path, capsys, name, key, damage
+    ):
+        _, data_csv, artifacts, _ = workspace
+        damaged = tmp_path / "artifacts"
+        shutil.copytree(artifacts, damaged)
+        target = damaged / name
+        doc = json.loads(target.read_text())
+        doc[key] = damage(doc[key])
+        target.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        code, stdout, err = run_cli(
+            capsys, "predict", "--artifacts", str(damaged), "--data", data_csv, "--out", str(out)
+        )
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: {target}: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_version_4_directory_exits_2_asking_for_a_refit(self, workspace, tmp_path, capsys):
         _, data_csv, artifacts, _ = workspace
@@ -732,6 +779,7 @@ class TestReduceSelect:
         assert code == 3 and stdout == ""
         assert err == "error: " + error.format(out=out, parent=os.path.dirname(out)) + "\n"
         assert os.listdir(tmp_path) == ["notadir"]
+        assert (tmp_path / "notadir").read_text() == "x"
 
 
 class TestUsability:
